@@ -307,9 +307,9 @@ def run_arena(
 ) -> ArenaResult:
     """Run the full arena grid and build the leaderboard.
 
-    Resolution order per job matches the session fabric: journal hit,
-    cache hit, computation (fanned out across ``jobs`` workers).  On
-    Ctrl-C the fabric drains, checkpoints, and raises
+    Every cell resolves through :func:`run_jobs`: cache hit, then
+    journal hit, then computation (fanned out across ``jobs`` workers).
+    On Ctrl-C the fabric drains, checkpoints, and raises
     :class:`~repro.experiments.parallel.SweepInterrupted`; resuming
     with the same config and journal replays completed cells and
     produces a byte-identical artifact.
@@ -318,46 +318,21 @@ def run_arena(
 
     stats = report if report is not None else FabricReport()
     grid = arena_jobs(config)
-    keys = [arena_job_key(job) for job in grid]
-    records: List[Optional[ArenaRecord]] = [None] * len(grid)
-
-    pending: List[int] = []
-    for index, key in enumerate(keys):
-        if cache is not None:
-            # Cache hits are not re-journaled: a resume run re-reads
-            # them from the cache itself (same key, same bytes), so the
-            # journal only ever carries what was actually computed.
-            hit = cache.get(key)
-            if hit is not None:
-                records[index] = hit
-                stats.cache_hits += 1
-                continue
-        pending.append(index)
-
-    if pending:
-        computed = run_jobs(
-            [grid[i] for i in pending],
-            run_arena_job,
-            keys=[keys[i] for i in pending],
-            seeds=[grid[i].seed for i in pending],
-            jobs=jobs,
-            journal=journal,
-            policy=policy,
-            report=stats,
-        )
-        for index, record in zip(pending, computed):
-            records[index] = record
-            if cache is not None:
-                cache.put(keys[index], record)
-    elif journal is not None:
-        journal.close()
-
-    complete = [record for record in records if record is not None]
-    assert len(complete) == len(grid)
-    leaderboard = build_leaderboard(config, complete)
+    records = run_jobs(
+        grid,
+        run_arena_job,
+        keys=[arena_job_key(job) for job in grid],
+        seeds=[job.seed for job in grid],
+        jobs=jobs,
+        cache=cache,
+        journal=journal,
+        policy=policy,
+        report=stats,
+    )
+    leaderboard = build_leaderboard(config, records)
     return ArenaResult(
         config=config,
-        records=complete,
+        records=records,
         leaderboard=leaderboard,
         report=stats,
     )

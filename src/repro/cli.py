@@ -78,6 +78,23 @@ def _session_payload(result) -> Dict[str, Any]:
     }
 
 
+def _interrupted(exc: SweepInterrupted, label: str, unit: str) -> int:
+    """Report a drained Ctrl-C (with a resume hint when a journal holds
+    the completed work) and return the conventional exit status 130."""
+    print(
+        f"{label} interrupted: {exc.completed}/{exc.total} {unit} "
+        "checkpointed",
+        file=sys.stderr,
+    )
+    if exc.journal_path is not None:
+        print(
+            "resume with the same command plus --resume "
+            f"(journal: {exc.journal_path})",
+            file=sys.stderr,
+        )
+    return 130
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     spec = SessionSpec(
         device=args.device,
@@ -226,18 +243,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 report=report,
             )
     except SweepInterrupted as exc:
-        print(
-            f"sweep interrupted: {exc.completed}/{exc.total} jobs "
-            "checkpointed",
-            file=sys.stderr,
-        )
-        if exc.journal_path is not None:
-            print(
-                "resume with the same command plus --resume "
-                f"(journal: {exc.journal_path})",
-                file=sys.stderr,
-            )
-        return 130
+        return _interrupted(exc, "sweep", "jobs")
     rows = []
     for (device, resolution, fps, pressure), cell in zip(grid, cells):
         stats = cell.stats
@@ -322,18 +328,7 @@ def _cmd_study_fleet(args: argparse.Namespace) -> int:
             report=report,
         )
     except SweepInterrupted as exc:
-        print(
-            f"study interrupted: {exc.completed}/{exc.total} cohorts "
-            "checkpointed",
-            file=sys.stderr,
-        )
-        if exc.journal_path is not None:
-            print(
-                "resume with the same command plus --resume "
-                f"(journal: {exc.journal_path})",
-                file=sys.stderr,
-            )
-        return 130
+        return _interrupted(exc, "study", "cohorts")
     fleet = result.summary
     summary = fleet.table1()
     transitions = fleet.transitions()
@@ -399,12 +394,7 @@ def cmd_trace_record(args: argparse.Namespace) -> int:
             cache=False if args.no_cache else None,
         )
     except SweepInterrupted as exc:
-        print(
-            f"recording interrupted: {exc.completed}/{exc.total} jobs "
-            "checkpointed; re-run with --resume and the same --journal",
-            file=sys.stderr,
-        )
-        return 130
+        return _interrupted(exc, "recording", "jobs")
     payload = {
         "store": str(store.root),
         "recorded": report.computed,
@@ -667,18 +657,7 @@ def cmd_arena(args: argparse.Namespace) -> int:
             report=report,
         )
     except SweepInterrupted as exc:
-        print(
-            f"arena interrupted: {exc.completed}/{exc.total} sessions "
-            "checkpointed",
-            file=sys.stderr,
-        )
-        if exc.journal_path is not None:
-            print(
-                "resume with the same command plus --resume "
-                f"(journal: {exc.journal_path})",
-                file=sys.stderr,
-            )
-        return 130
+        return _interrupted(exc, "arena", "sessions")
     paths = None
     if args.out:
         paths = write_artifact(result.leaderboard, Path(args.out))

@@ -2,12 +2,12 @@
 
 Long §3/§4 sweeps are exactly the multi-hour batch jobs that must
 survive a SIGINT, SIGTERM, or killed host.  The journal makes every
-completed :class:`~repro.experiments.parallel.SessionSpec` durable the
-moment it finishes: :func:`~repro.experiments.parallel.run_sessions`
-appends one record per completed job, and a resumed sweep replays those
-records instead of recomputing — bit-identical to an uninterrupted run,
-because a record is keyed by the spec's content address and a spec
-fully determines its result.
+computed job durable the moment it finishes:
+:func:`~repro.experiments.parallel.run_jobs` appends one record per
+computed job (cache hits are not journaled), and a resumed sweep
+replays those records instead of recomputing — bit-identical to an
+uninterrupted run, because a record is keyed by the job's content
+address and a job fully determines its result.
 
 Format (documented in ``docs/robustness.md``): a line-oriented JSON
 file.  The first line is a header::

@@ -35,7 +35,7 @@ Concretely (see ``docs/robustness.md`` for the failure model):
   waiting forever;
 * corrupt cache entries are quarantined (not deleted) and recomputed;
 * with a :class:`~repro.experiments.checkpoint.SweepJournal` attached,
-  every completed job is checkpointed incrementally and a
+  every computed job is checkpointed incrementally and a
   ``KeyboardInterrupt`` drains in-flight work before raising
   :class:`SweepInterrupted`, so an interrupted sweep resumes from the
   journal bit-identically instead of restarting.
@@ -60,7 +60,7 @@ from concurrent.futures import (
 )
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -176,7 +176,7 @@ class RetryPolicy:
 
 @dataclass
 class FabricReport:
-    """What the fabric did on one :func:`run_sessions` call.
+    """What the fabric did on one :func:`run_jobs` call.
 
     Callers pass an instance in to collect the sweep summary the CLIs
     print (cache hits, resumed jobs, retries, quarantined entries, …).
@@ -527,13 +527,6 @@ def _run_chunk(
     return results
 
 
-def run_spec_chunk(
-    specs: Sequence[SessionSpec], hb_dir: Optional[str] = None
-) -> List[SessionResult]:
-    """Execute a chunk of session jobs in order (worker entry point)."""
-    return list(_run_chunk(specs, run_spec, hb_dir))
-
-
 def _run_with_retries(
     payload: Any,
     runner: JobRunner,
@@ -747,98 +740,27 @@ def run_sessions(
     policy: Optional[RetryPolicy] = None,
     report: Optional[FabricReport] = None,
 ) -> List[SessionResult]:
-    """Run session jobs, in parallel when asked, returning results in
+    """Run session jobs on :func:`run_jobs`, returning results in
     submission order regardless of completion order.
 
-    Resolution order per job: checkpoint ``journal`` hit, then result
-    ``cache`` hit, then computation (fanned out across ``jobs`` worker
-    processes when the spec allows it).  Serial, parallel, cached,
-    resumed, and fault-recovered paths all yield bit-identical results
-    for the same specs.  ``policy`` tunes supervision (retries, hang
-    timeout, pool restarts); ``report`` collects fabric statistics.
+    ``cache`` follows :func:`resolve_cache`; only cacheable specs are
+    keyed, so only they are cached and journaled.  A spec holding a
+    shared ABR instance makes the whole call run in-process, in
+    submission order, so that instance's cross-repetition state evolves
+    exactly as a serial run's.  Serial, parallel, cached, resumed, and
+    fault-recovered paths all yield bit-identical results.
     """
-    store = resolve_cache(cache)
-    policy = policy if policy is not None else RetryPolicy()
-    stats = report if report is not None else FabricReport()
-    results: List[Optional[SessionResult]] = [None] * len(specs)
-    keys: Dict[int, str] = {}
-    journal_map = journal.begin() if journal is not None else {}
-    fan_out: List[int] = []
-    in_process: List[int] = []
-    quarantined_before = store.quarantined if store is not None else 0
-
-    def complete(index: int, result: SessionResult) -> None:
-        results[index] = result
-        stats.computed += 1
-        key = keys.get(index)
-        if key is None:
-            return
-        if journal is not None:
-            journal.record(key, result)
-        if store is not None:
-            store.put(key, result)
-
-    for index, spec in enumerate(specs):
-        if not spec.cacheable:
-            (fan_out if spec.parallel_safe else in_process).append(index)
-            continue
-        key = cache_key(spec)
-        keys[index] = key
-        resumed = journal_map.get(key)
-        if resumed is not None:
-            results[index] = resumed
-            stats.resumed += 1
-            continue
-        if store is not None:
-            hit = store.get(key)
-            if hit is not None:
-                results[index] = hit
-                stats.cache_hits += 1
-                if journal is not None:
-                    journal.record(key, hit)
-                continue
-        fan_out.append(index)
-
-    seeds = [spec.seed for spec in specs]
-    try:
-        n_workers = effective_jobs(jobs, len(fan_out))
-        if fan_out:
-            if n_workers <= 1:
-                for index in fan_out:
-                    complete(index, _run_with_retries(
-                        specs[index], run_spec, seeds[index], policy, stats
-                    ))
-            else:
-                _run_pool(
-                    specs, run_spec, seeds, fan_out, n_workers, policy,
-                    stats, complete,
-                )
-        # Shared-instance ABR jobs: run in submission order, in-process,
-        # so their cross-repetition state evolves exactly as a serial
-        # run's.
-        for index in in_process:
-            complete(index, _run_with_retries(
-                specs[index], run_spec, seeds[index], policy, stats
-            ))
-    except KeyboardInterrupt:
-        stats.interrupted = True
-        journal_path: Optional[Path] = None
-        if journal is not None:
-            journal_path = journal.path
-            journal.close()
-        if store is not None:
-            stats.quarantined += store.quarantined - quarantined_before
-        raise SweepInterrupted(
-            completed=sum(1 for r in results if r is not None),
-            total=len(specs),
-            journal_path=journal_path,
-        ) from None
-
-    if journal is not None:
-        journal.close()
-    if store is not None:
-        stats.quarantined += store.quarantined - quarantined_before
-    return results  # type: ignore[return-value]
+    return run_jobs(
+        specs,
+        run_spec,
+        keys=[cache_key(spec) if spec.cacheable else None for spec in specs],
+        seeds=[spec.seed for spec in specs],
+        jobs=jobs if all(spec.parallel_safe for spec in specs) else None,
+        cache=resolve_cache(cache),
+        journal=journal,
+        policy=policy,
+        report=report,
+    )
 
 
 def run_jobs(
@@ -848,21 +770,26 @@ def run_jobs(
     keys: Optional[Sequence[Optional[str]]] = None,
     seeds: Optional[Sequence[int]] = None,
     jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
     journal: Optional["SweepJournal"] = None,
     policy: Optional[RetryPolicy] = None,
     report: Optional[FabricReport] = None,
 ) -> List[Any]:
-    """Run arbitrary jobs on the session fabric (generic entry point).
+    """Run jobs on the fault-tolerant fabric, results in submission order.
 
-    The same supervision machinery as :func:`run_sessions` — chunked
-    dispatch, heartbeat hang detection, deterministic-backoff retries,
-    pool restart then serial degradation, checkpoint journaling, Ctrl-C
-    drain — applied to any picklable ``runner(payload)`` pairs (e.g.
-    cohort shards of the fleet population engine).
+    This is the one place a keyed job's result is resolved, in order:
+    the result ``cache``; then, only if some job missed the cache, the
+    checkpoint ``journal``; then computation — chunked dispatch over
+    ``jobs`` worker processes, heartbeat hang detection,
+    deterministic-backoff retries, pool restart then serial
+    degradation, Ctrl-C drain — for any picklable ``runner(payload)``
+    pairs (session specs, arena cells, fleet cohort shards, …).  Each
+    computed result is journaled and then cached; cache hits are never
+    journaled, so a journal carries only computed work.
 
-    ``keys`` are per-job journal keys (``None`` disables journaling for
-    that job); ``seeds`` feed the deterministic retry backoff (defaults
-    to the payload index).  Results return in submission order.
+    ``keys`` are per-job content addresses (``None`` keeps that job out
+    of cache and journal); ``seeds`` feed the deterministic retry
+    backoff (defaults to the payload index).
     """
     policy = policy if policy is not None else RetryPolicy()
     stats = report if report is not None else FabricReport()
@@ -876,56 +803,66 @@ def run_jobs(
         raise ValueError("keys/seeds must match payloads in length")
     results: List[Any] = [None] * len(payloads)
     done: List[bool] = [False] * len(payloads)
-    journal_map = journal.begin() if journal is not None else {}
-    fan_out: List[int] = []
+    quarantined_before = cache.quarantined if cache is not None else 0
 
     def complete(index: int, result: Any) -> None:
         results[index] = result
         done[index] = True
         stats.computed += 1
         key = job_keys[index]
-        if key is not None and journal is not None:
+        if key is None:
+            return
+        if journal is not None:
             journal.record(key, result)
-
-    for index in range(len(payloads)):
-        key = job_keys[index]
-        if key is not None:
-            resumed = journal_map.get(key)
-            if resumed is not None:
-                results[index] = resumed
-                done[index] = True
-                stats.resumed += 1
-                continue
-        fan_out.append(index)
+        if cache is not None:
+            cache.put(key, result)
 
     try:
+        missed: List[int] = []
+        for index, key in enumerate(job_keys):
+            hit = None
+            if cache is not None and key is not None:
+                hit = cache.get(key)
+            if hit is None:
+                missed.append(index)
+                continue
+            results[index] = hit
+            done[index] = True
+            stats.cache_hits += 1
+        journal_map = journal.begin() if journal is not None and missed else {}
+        fan_out: List[int] = []
+        for index in missed:
+            key = job_keys[index]
+            resumed = journal_map.get(key) if key is not None else None
+            if resumed is None:
+                fan_out.append(index)
+                continue
+            results[index] = resumed
+            done[index] = True
+            stats.resumed += 1
         n_workers = effective_jobs(jobs, len(fan_out))
-        if fan_out:
-            if n_workers <= 1:
-                for index in fan_out:
-                    complete(index, _run_with_retries(
-                        payloads[index], runner, job_seeds[index],
-                        policy, stats,
-                    ))
-            else:
-                _run_pool(
-                    payloads, runner, job_seeds, fan_out, n_workers,
-                    policy, stats, complete,
-                )
+        if n_workers > 1:
+            _run_pool(
+                payloads, runner, job_seeds, fan_out, n_workers,
+                policy, stats, complete,
+            )
+        else:
+            for index in fan_out:
+                complete(index, _run_with_retries(
+                    payloads[index], runner, job_seeds[index], policy, stats,
+                ))
     except KeyboardInterrupt:
         stats.interrupted = True
-        journal_path: Optional[Path] = None
-        if journal is not None:
-            journal_path = journal.path
-            journal.close()
         raise SweepInterrupted(
-            completed=sum(1 for d in done if d),
+            completed=sum(done),
             total=len(payloads),
-            journal_path=journal_path,
+            journal_path=journal.path if journal is not None else None,
         ) from None
-
-    if journal is not None:
-        journal.close()
+    finally:
+        if journal is not None:
+            journal.close()
+        if cache is not None:
+            stats.quarantined += cache.quarantined - quarantined_before
     return results
 
 

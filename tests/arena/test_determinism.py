@@ -58,6 +58,32 @@ def test_cache_replay_is_byte_identical(tmp_path, reference_bytes):
     assert replay_report.computed == 0
 
 
+def test_quarantined_cache_entry_reaches_the_report(
+    tmp_path, reference_bytes
+):
+    """A corrupt arena cache entry is quarantined, recomputed, and
+    counted in the run's FabricReport (the ``fabric:`` line)."""
+    grid = arena_jobs(CONFIG)
+    cache = ResultCache(tmp_path / "cache", result_type=ArenaRecord)
+    run_arena(CONFIG, jobs=1, cache=cache)
+    path = cache.path_for(arena_job_key(grid[0]))
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+    report = FabricReport()
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        result = run_arena(
+            CONFIG, jobs=1,
+            cache=ResultCache(tmp_path / "cache", result_type=ArenaRecord),
+            report=report,
+        )
+    assert report.quarantined == 1
+    assert report.computed == 1
+    assert report.cache_hits == len(grid) - 1
+    assert artifact_bytes(result.leaderboard) == reference_bytes
+
+
 def test_resume_after_interrupt_is_byte_identical(tmp_path, reference_bytes):
     """Ctrl-C mid-run (injected at the second job's fault point) drains
     to the journal and raises SweepInterrupted; resuming with the same

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.experiments import parallel
 from repro.experiments.checkpoint import (
     JOURNAL_MAGIC,
@@ -15,10 +17,14 @@ from repro.experiments.checkpoint import (
 from repro.experiments.parallel import (
     SCHEMA_VERSION,
     FabricReport,
+    ResultCache,
     SessionSpec,
+    SweepInterrupted,
     cache_key,
     run_sessions,
 )
+from repro.faults.injector import Fault, installed_plan
+from repro.validate.golden import session_digest
 
 
 def _spec(seed=7, **overrides):
@@ -62,6 +68,54 @@ def test_resume_replays_instead_of_recomputing(tmp_path, monkeypatch):
     assert resumed == first
     assert report.resumed == 3
     assert report.computed == 0
+
+
+def test_cache_hits_are_not_journaled(tmp_path):
+    """A warm re-run is served from the cache alone: nothing is
+    journaled, so no journal file is even created."""
+    specs = [_spec(seed=s) for s in (1, 2, 3)]
+    cache = ResultCache(tmp_path / "cache")
+    first = run_sessions(specs, cache=cache)
+
+    path = tmp_path / "warm.journal"
+    journal = SweepJournal(path, resume=False)
+    report = FabricReport()
+    again = run_sessions(specs, cache=cache, journal=journal, report=report)
+    assert again == first
+    assert journal.recorded == 0
+    assert not path.exists()
+    assert report.cache_hits == len(specs)
+    assert report.computed == 0
+
+
+def test_interrupted_cached_sweep_resumes_to_fault_free_digest(tmp_path):
+    """With a cache attached, a Ctrl-C'd sweep's computed jobs land in
+    both journal and cache; the resume counts them as cache hits and
+    lands on the fault-free results."""
+    specs = [_spec(seed=s) for s in (1, 2, 3, 4)]
+    reference = [
+        session_digest(r) for r in run_sessions(specs, cache=False)
+    ]
+    cache = ResultCache(tmp_path / "cache")
+    path = tmp_path / "sweep.journal"
+    with installed_plan(
+        [Fault(point=f"job:{cache_key(specs[2])}", kind="interrupt")],
+        tmp_path / "plan",
+    ):
+        with pytest.raises(SweepInterrupted) as excinfo:
+            run_sessions(
+                specs, cache=cache, journal=SweepJournal(path, resume=False)
+            )
+    assert excinfo.value.completed == 2
+
+    report = FabricReport()
+    results = run_sessions(
+        specs, cache=cache, journal=SweepJournal(path), report=report
+    )
+    assert [session_digest(r) for r in results] == reference
+    assert report.resumed + report.cache_hits + report.computed == len(specs)
+    assert report.cache_hits == 2
+    assert report.computed == 2
 
 
 def test_truncated_tail_line_is_tolerated(tmp_path):
