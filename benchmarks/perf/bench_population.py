@@ -8,15 +8,19 @@ Both paths are numpy-vectorized per device already, so the fleet
 engine's win is architectural (2-D batch kernels amortize per-device
 dispatch, sketches replace per-second log retention) rather than a
 rewrite of interpreted loops; the measured ratio is reported as-is.
-The optional million-device leg (``--million`` via ``run.py``) proves
-the O(cohorts) memory bound by recording peak RSS alongside the
-throughput.
+The export leg runs the same fleet with ``export_dir`` set, so the
+per-cohort npz writer is timed too, and records the bytes it writes
+per device.  The optional million-device leg (``--million`` via
+``run.py``) proves the O(cohorts) memory bound by recording peak RSS
+alongside the throughput.
 """
 
 from __future__ import annotations
 
 import resource
+import tempfile
 import time
+from pathlib import Path
 from typing import Dict
 
 from repro.study.cohort import FleetConfig, n_cohorts
@@ -67,6 +71,26 @@ def _fleet_rate(devices: int, repeats: int = 3) -> Dict[str, float]:
     }
 
 
+def _export_rate(devices: int, repeats: int = 3) -> Dict[str, float]:
+    config = FleetConfig(
+        n_devices=devices, hours_scale=HOURS_SCALE, seed=SEED
+    )
+    best = float("inf")
+    for _ in range(repeats):
+        with tempfile.TemporaryDirectory() as tmp:
+            start = time.perf_counter()
+            result = run_fleet(config, export_dir=Path(tmp))
+            best = min(best, time.perf_counter() - start)
+            size = sum(path.stat().st_size for path in result.export_paths)
+        assert len(result.export_paths) == n_cohorts(config)
+    return {
+        "devices": devices,
+        "seconds": round(best, 3),
+        "devices_per_sec": round(devices / best, 1),
+        "bytes_per_device": round(size / devices, 1),
+    }
+
+
 def _legacy_rate(devices: int, repeats: int = 3) -> Dict[str, float]:
     config = PopulationConfig(
         n_users=devices, hours_scale=HOURS_SCALE, seed=SEED
@@ -88,6 +112,7 @@ def run(quick: bool = False, million: bool = False) -> Dict:
     """Measure fleet and legacy devices/sec; return the numbers."""
     _warmup()
     fleet = _fleet_rate(QUICK_DEVICES if quick else DEVICES)
+    export = _export_rate(QUICK_DEVICES if quick else DEVICES)
     legacy = _legacy_rate(QUICK_LEGACY if quick else LEGACY_DEVICES)
     results: Dict = {
         "hours_scale": HOURS_SCALE,
@@ -97,6 +122,9 @@ def run(quick: bool = False, million: bool = False) -> Dict:
             fleet["devices_per_sec"] / legacy["devices_per_sec"], 2
         ),
         "fleet_devices_per_sec": fleet["devices_per_sec"],
+        "fleet_export": export,
+        "fleet_export_devices_per_sec": export["devices_per_sec"],
+        "export_bytes_per_device": export["bytes_per_device"],
     }
     if million:
         config = FleetConfig(

@@ -21,7 +21,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..experiments.checkpoint import SweepJournal
 from ..experiments.parallel import (
@@ -91,6 +91,10 @@ def cohort_job_key(job: CohortJob) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _export_path(export_dir: Path | str, cohort_index: int) -> Path:
+    return Path(export_dir) / f"cohort-{cohort_index:05d}.npz"
+
+
 def run_cohort_job(job: CohortJob) -> CohortResult:
     """Worker entry point: simulate one cohort shard.
 
@@ -108,8 +112,7 @@ def run_cohort_job(job: CohortJob) -> CohortResult:
         from .export import save_cohort_columns
 
         save_cohort_columns(
-            result.columns,
-            Path(job.export_dir) / f"cohort-{job.cohort_index:05d}.npz",
+            result.columns, _export_path(job.export_dir, job.cohort_index)
         )
     if not job.keep_columns:
         result = CohortResult(job.cohort_index, result.summary, None)
@@ -175,8 +178,10 @@ def run_fleet(
     the logs home in RAM — the escape hatch for small populations.
     """
     total = n_cohorts(config)
+    export_paths: List[Path] = []
     if export_dir is not None:
         export_dir.mkdir(parents=True, exist_ok=True)
+        export_paths = [_export_path(export_dir, c) for c in range(total)]
     payloads = [
         CohortJob(
             cohort_index=c,
@@ -191,7 +196,7 @@ def run_fleet(
         derive_seed(config.seed, f"study.fleet{c}") for c in range(total)
     ]
     stats = report if report is not None else FabricReport()
-    results: Sequence[Optional[CohortResult]] = run_jobs(
+    results: List[Optional[CohortResult]] = run_jobs(
         payloads,
         run_cohort_job,
         keys=keys,
@@ -201,19 +206,22 @@ def run_fleet(
         policy=policy,
         report=stats,
     )
+    # The journal vouches for a cohort's summary, not for its export
+    # file: re-export any resumed cohort whose file has gone (one stat
+    # each; the rewrite is byte-identical).
+    for index, path in enumerate(export_paths):
+        if not path.exists():
+            results[index] = run_cohort_job(payloads[index])
+            stats.resumed -= 1
+            stats.computed += 1
 
     summary = FleetSummary()
     logs: Optional[List[DeviceLog]] = [] if keep_logs else None
-    export_paths: List[Path] = []
     for result in results:
         assert result is not None  # run_jobs raises rather than drops
         summary = summary.merge(result.summary)
         if logs is not None and result.columns is not None:
             logs.extend(columns_to_logs(result.columns))
-        if export_dir is not None:
-            export_paths.append(
-                export_dir / f"cohort-{result.cohort_index:05d}.npz"
-            )
     return FleetResult(
         config=config,
         summary=summary,

@@ -6,7 +6,9 @@ order) and matches the v1 analysis pipeline applied to the per-device
 reference oracle exactly — same floats, not approximately.
 """
 
+import dataclasses
 import functools
+import zipfile
 
 import numpy as np
 import pytest
@@ -200,6 +202,84 @@ def test_export_leaves_no_tmp_files(tmp_path):
     export_dir = tmp_path / "pop"
     run_fleet(CFG, export_dir=export_dir)
     assert not list(export_dir.glob("*.tmp"))
+
+
+def test_resume_re_exports_missing_cohort(tmp_path):
+    export_dir = tmp_path / "pop"
+    journal = tmp_path / "fleet.journal"
+    first = run_fleet(CFG, journal=fleet_journal(journal), export_dir=export_dir)
+    missing = export_dir / "cohort-00001.npz"
+    original = missing.read_bytes()
+    missing.unlink()
+    resumed = run_fleet(
+        CFG, journal=fleet_journal(journal), export_dir=export_dir
+    )
+    assert resumed.report.computed == 1
+    assert resumed.report.resumed == n_cohorts(CFG) - 1
+    assert missing.read_bytes() == original
+    assert resumed.export_paths == exported_cohort_paths(export_dir)
+    assert len(list(iter_exported_logs(export_dir))) == CFG.n_devices
+    assert resumed.summary.state_digest() == first.summary.state_digest()
+
+
+def test_exported_cohort_paths_sort_by_index(tmp_path):
+    for index in (100000, 0, 99999, 5):
+        (tmp_path / f"cohort-{index:05d}.npz").touch()
+    assert [p.name for p in exported_cohort_paths(tmp_path)] == [
+        "cohort-00000.npz",
+        "cohort-00005.npz",
+        "cohort-99999.npz",
+        "cohort-100000.npz",
+    ]
+
+
+def _cohort_columns():
+    return simulate_cohort(0, CFG, collect_columns=True).columns
+
+
+def test_cohort_npz_stores_floats_and_deflates_the_rest(tmp_path):
+    path = save_cohort_columns(_cohort_columns(), tmp_path / "c.npz")
+    with zipfile.ZipFile(path) as archive:
+        kinds = {i.filename: i.compress_type for i in archive.infolist()}
+    assert kinds.pop("available_mb.npy") == zipfile.ZIP_STORED
+    assert set(kinds.values()) == {zipfile.ZIP_DEFLATED}
+
+
+def test_cohort_npz_round_trips_through_np_load(tmp_path):
+    columns = _cohort_columns()
+    path = save_cohort_columns(columns, tmp_path / "c.npz")
+    fields = [f.name for f in dataclasses.fields(columns)]
+    with np.load(path) as data:
+        assert data.files == fields + ["format"]
+        for name in fields:
+            assert np.array_equal(data[name], getattr(columns, name))
+    reread = load_cohort_columns(path)
+    for name in fields:
+        want, got = getattr(columns, name), getattr(reread, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def test_savez_compressed_exports_still_load(tmp_path):
+    import repro.study.export as export_mod
+
+    columns = _cohort_columns()
+    arrays = dataclasses.asdict(columns)
+    arrays["format"] = np.array(
+        [export_mod.COHORT_FORMAT_VERSION], dtype=np.int64
+    )
+    np.savez_compressed(tmp_path / "old.npz", **arrays)
+    reread = load_cohort_columns(tmp_path / "old.npz")
+    for name, want in dataclasses.asdict(columns).items():
+        got = getattr(reread, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_cohort_npz_bytes_are_reproducible(tmp_path):
+    columns = _cohort_columns()
+    a = save_cohort_columns(columns, tmp_path / "a.npz")
+    b = save_cohort_columns(columns, tmp_path / "b.npz")
+    assert a.read_bytes() == b.read_bytes()
 
 
 # ----------------------------------------------------------------------
