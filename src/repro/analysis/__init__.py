@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from .baseline import load_baseline, split_baselined, write_baseline
 from .engine import Finding, LintResult, Rule, SourceFile, collect_files, run_rules
-from .cli import run_lint
 from .rules import ALL_RULE_CLASSES, build_rules, rule_catalog
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "collect_files",
     "load_baseline",
     "rule_catalog",
-    "run_lint",
     "run_rules",
     "split_baselined",
     "write_baseline",

@@ -14,9 +14,8 @@ structure they need:
   :mod:`repro.analysis.dataflow` during extraction) that the global
   fixpoint then links across the graph.
 
-Everything extracted here is plain data (lists of dataclasses with
-``to_dict``/``from_dict``), so per-file results are cacheable as JSON
-and the graph can be rebuilt from cached facts without reparsing.
+Everything extracted here is plain data (lists of dataclasses), built
+once per file and linked across files by :class:`CallGraph`.
 Construction is deliberately order-independent: modules are indexed by
 sorted qualname, so shuffling the input file list cannot change any
 resolution or any downstream finding (``tests/analysis`` holds this
@@ -27,7 +26,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Marker prefix for calls that could not be resolved to a project
 #: function (``obj.attr()`` on an unknown object): the graph keeps the
@@ -108,23 +107,6 @@ class SinkFlow:
     calls: List[str] = field(default_factory=list)    #: call targets feeding the sink
     params: List[str] = field(default_factory=list)   #: own params feeding the sink
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind, "detail": self.detail,
-            "line": self.line, "col": self.col,
-            "direct": list(self.direct), "calls": list(self.calls),
-            "params": list(self.params),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SinkFlow":
-        return cls(
-            kind=data["kind"], detail=data["detail"],
-            line=data["line"], col=data["col"],
-            direct=list(data["direct"]), calls=list(data["calls"]),
-            params=list(data["params"]),
-        )
-
 
 @dataclass
 class CallSite:
@@ -140,26 +122,6 @@ class CallSite:
     kwargs: Dict[str, Tuple[List[str], List[str], List[str]]] = field(
         default_factory=dict
     )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "target": self.target, "line": self.line, "col": self.col,
-            "args": [list(map(list, a)) for a in self.args],
-            "kwargs": {k: list(map(list, v)) for k, v in self.kwargs.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CallSite":
-        return cls(
-            target=data["target"], line=data["line"], col=data["col"],
-            args=[
-                (list(a[0]), list(a[1]), list(a[2])) for a in data["args"]
-            ],
-            kwargs={
-                k: (list(v[0]), list(v[1]), list(v[2]))
-                for k, v in data["kwargs"].items()
-            },
-        )
 
 
 @dataclass
@@ -183,33 +145,6 @@ class FunctionInfo:
     #: Source text of the return annotation, if any (mined by the
     #: pickle-escape pass to resolve payload factory helpers).
     returns_ann: Optional[str] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname, "name": self.name,
-            "module": self.module, "cls": self.cls,
-            "params": list(self.params), "line": self.line,
-            "return_taint": list(self.return_taint),
-            "return_calls": list(self.return_calls),
-            "return_params": list(self.return_params),
-            "sink_flows": [flow.to_dict() for flow in self.sink_flows],
-            "call_sites": [site.to_dict() for site in self.call_sites],
-            "returns_ann": self.returns_ann,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FunctionInfo":
-        return cls(
-            qualname=data["qualname"], name=data["name"],
-            module=data["module"], cls=data["cls"],
-            params=list(data["params"]), line=data["line"],
-            return_taint=list(data["return_taint"]),
-            return_calls=list(data["return_calls"]),
-            return_params=list(data["return_params"]),
-            sink_flows=[SinkFlow.from_dict(f) for f in data["sink_flows"]],
-            call_sites=[CallSite.from_dict(s) for s in data["call_sites"]],
-            returns_ann=data.get("returns_ann"),
-        )
 
 
 def extract_functions(

@@ -5,17 +5,10 @@ standalone (pre-commit invokes ``python -m repro.analysis.cli`` on the
 changed files) and so importing the main CLI never pays for the rule
 registry.
 
-The driver has three speed levers, all off by default for library
-callers and reproducibility tests:
-
-* ``--cache-dir`` / ``--no-cache`` — per-file analyses are
-  content-addressed (:mod:`repro.analysis.cache`), so a warm run
-  re-analyzes only edited files;
-* ``--jobs N`` — cache misses fan out over a process pool; per-file
-  analysis is a pure function of (content, rule set), and the merge
-  point sorts by path, so parallel output is byte-identical to serial;
-* ``--changed`` — lint only files git reports as modified/added/
-  untracked (plus the baseline logic), the pre-commit configuration.
+The driver has one path: discover and parse the targets once, run every
+rule over them (:func:`~repro.analysis.engine.run_rules`), narrow the
+report to git-touched files under ``--changed``, then split the
+findings by baseline.
 """
 
 from __future__ import annotations
@@ -24,9 +17,8 @@ import argparse
 import json
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from ..storage import publish_bytes
 from .baseline import (
@@ -35,15 +27,7 @@ from .baseline import (
     split_baselined,
     update_baseline,
 )
-from .cache import DEFAULT_CACHE_DIR, AnalysisCache, content_digest, entry_key
-from .engine import (
-    FileAnalysis,
-    LintResult,
-    SourceFile,
-    analyze_file,
-    collect_paths,
-    finish_run,
-)
+from .engine import LintResult, collect_files, run_rules
 from .reporters import render_json, render_sarif, render_text
 from .rules import build_rules, rule_catalog
 
@@ -85,37 +69,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
              "normal report",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="analyze files with N worker processes (default: 1; "
-             "output is byte-identical to serial)",
-    )
-    parser.add_argument(
         "--changed", action="store_true",
         help="lint only files git reports as changed (staged, "
              "unstaged, or untracked) under the given paths",
     )
-    parser.add_argument(
-        "--cache-dir", type=Path, default=None, metavar="DIR",
-        help=f"analysis cache directory (default: {DEFAULT_CACHE_DIR}; "
-             "a warm cache re-analyzes only edited files)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the analysis cache for this run",
-    )
-
-
-def _worker(payload: Tuple[str, str, Optional[List[str]]]) -> Dict[str, object]:
-    """Analyze one file in a worker process (or inline when jobs=1).
-
-    Takes only picklable plain data and returns the serialized
-    :class:`FileAnalysis` — the same record the cache stores, so every
-    driver path merges identical inputs.
-    """
-    path_str, root_str, only_rules = payload
-    rules = build_rules(only_rules)
-    src = SourceFile(Path(path_str), Path(root_str))
-    return analyze_file(src, rules).to_dict()
 
 
 def changed_files(root: Path) -> Optional[Set[Path]]:
@@ -143,82 +100,30 @@ def changed_files(root: Path) -> Optional[Set[Path]]:
     }
 
 
-def changed_rels(
-    targets: Sequence[Tuple[Path, str]], root: Path
-) -> Optional[Set[str]]:
-    """Rel paths of targets git reports as touched; None when git fails.
-
-    ``--changed`` narrows what is *reported*, not what is *analyzed*:
-    project rules over a partial file set would see every unchanged
-    subscriber as an orphan and every unchanged caller as dead.  The
-    whole target set is analyzed (the cache makes that cheap) and
-    findings are then filtered to the touched files.
-    """
-    touched = changed_files(root)
-    if touched is None:
-        return None
-    return {rel for path, rel in targets if path.resolve() in touched}
-
-
 def run_lint(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     baseline_path: Optional[Path] = None,
     use_baseline: bool = True,
     only_rules: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = None,
     changed_only: bool = False,
 ) -> LintResult:
     """Library entry point: lint ``paths`` and return the result."""
     resolved_root = root if root is not None else Path.cwd()
     rules = build_rules(only_rules)
-    rule_ids = [rule.id for rule in rules]
-    only_list = list(only_rules) if only_rules is not None else None
+    files = collect_files(list(paths), resolved_root)
+    findings, suppressed = run_rules(files, rules)
 
-    targets = collect_paths(list(paths), resolved_root)
-    report_rels: Optional[Set[str]] = None
-    if changed_only:
-        report_rels = changed_rels(targets, resolved_root)
-
-    cache = AnalysisCache(cache_dir) if cache_dir is not None else None
-    analyses: List[FileAnalysis] = []
-    misses: List[Tuple[Path, str]] = []
-    miss_keys: Dict[str, str] = {}
-    for path, rel in targets:
-        key = None
-        if cache is not None:
-            try:
-                key = entry_key(content_digest(path.read_bytes()), rule_ids)
-            except OSError:
-                key = None
-            if key is not None:
-                record = cache.load(key)
-                if record is not None and record.get("rel") == rel:
-                    analyses.append(FileAnalysis.from_dict(record))
-                    continue
-        misses.append((path, rel))
-        if key is not None:
-            miss_keys[rel] = key
-
-    payloads = [
-        (str(path), str(resolved_root), only_list) for path, rel in misses
-    ]
-    if jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_worker, payloads))
-    else:
-        records = [_worker(payload) for payload in payloads]
-
-    for (_, rel), record in zip(misses, records):
-        analyses.append(FileAnalysis.from_dict(record))
-        if cache is not None and rel in miss_keys:
-            cache.store(miss_keys[rel], record)
-
-    findings, suppressed = finish_run(analyses, rules)
-    if report_rels is not None:
-        findings = [f for f in findings if f.path in report_rels]
-        suppressed = [f for f in suppressed if f.path in report_rels]
+    linted = [src.rel for src in files]
+    # --changed narrows what is *reported*, not what is *analyzed*:
+    # project rules over a partial file set would see every unchanged
+    # subscriber as an orphan and every unchanged caller as dead.
+    touched = changed_files(resolved_root) if changed_only else None
+    if touched is not None:
+        linted = [src.rel for src in files if src.path.resolve() in touched]
+        scope = set(linted)
+        findings = [f for f in findings if f.path in scope]
+        suppressed = [f for f in suppressed if f.path in scope]
     allowed = (
         load_baseline(baseline_path)
         if use_baseline and baseline_path is not None
@@ -229,10 +134,9 @@ def run_lint(
         findings=new,
         baselined=baselined,
         suppressed=suppressed,
-        files_checked=len(analyses),
-        rules_run=rule_ids,
-        files_analyzed=len(misses),
-        files_cached=len(analyses) - len(misses),
+        files_checked=len(files),
+        rules_run=[rule.id for rule in rules],
+        linted=linted,
     )
 
 
@@ -253,31 +157,21 @@ def cmd_lint(args: argparse.Namespace) -> int:
     only_rules: Optional[List[str]] = None
     if args.rules:
         only_rules = [r for r in args.rules.split(",") if r.strip()]
+        try:
+            build_rules(only_rules)
+        except KeyError as exc:
+            print(f"repro lint: {exc.args[0]}", file=sys.stderr)
+            return 2
 
     baseline_path = args.baseline if args.baseline is not None else DEFAULT_BASELINE
-    cache_dir: Optional[Path] = None
-    if not args.no_cache:
-        cache_dir = (
-            args.cache_dir if args.cache_dir is not None else DEFAULT_CACHE_DIR
-        )
-
-    jobs = max(1, args.jobs)
 
     if args.update_baseline:
         result = run_lint(
             paths, baseline_path=None, use_baseline=False,
-            only_rules=only_rules, jobs=jobs, cache_dir=cache_dir,
-            changed_only=args.changed,
+            only_rules=only_rules, changed_only=args.changed,
         )
-        root = Path.cwd()
-        targets = collect_paths(paths, root)
-        linted = {rel for _, rel in targets}
-        if args.changed:
-            touched = changed_rels(targets, root)
-            if touched is not None:
-                linted = touched
         update = update_baseline(
-            result.findings, baseline_path, linted, root,
+            result.findings, baseline_path, set(result.linted), Path.cwd(),
         )
         print(
             f"baseline updated: {len(result.findings)} finding(s) from "
@@ -304,8 +198,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         baseline_path=baseline_path,
         use_baseline=not args.no_baseline,
         only_rules=only_rules,
-        jobs=jobs,
-        cache_dir=cache_dir,
         changed_only=args.changed,
     )
     sarif_to_stdout = args.sarif is not None and str(args.sarif) == "-"

@@ -46,7 +46,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
 )
 
 from .callgraph import (
@@ -864,21 +864,6 @@ class ClassShape:
     line: int
     fields: List[Tuple[str, str]] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "qualname": self.qualname, "name": self.name,
-            "module": self.module, "line": self.line,
-            "fields": [list(f) for f in self.fields],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassShape":
-        return cls(
-            qualname=data["qualname"], name=data["name"],
-            module=data["module"], line=data["line"],
-            fields=[(f[0], f[1]) for f in data["fields"]],
-        )
-
 
 @dataclass
 class SubmitSite:
@@ -892,23 +877,6 @@ class SubmitSite:
     classes: List[str] = field(default_factory=list)
     #: Factory calls whose return annotation names the payload type.
     factory_calls: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "callee": self.callee, "module": self.module,
-            "line": self.line, "col": self.col,
-            "classes": list(self.classes),
-            "factory_calls": list(self.factory_calls),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SubmitSite":
-        return cls(
-            callee=data["callee"], module=data["module"],
-            line=data["line"], col=data["col"],
-            classes=list(data["classes"]),
-            factory_calls=list(data["factory_calls"]),
-        )
 
 
 _BOUNDARY_FNS = frozenset({"run_jobs", "run_sessions"})

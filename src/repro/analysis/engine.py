@@ -232,8 +232,9 @@ class LintResult:
     suppressed: List[Finding]        #: silenced by ``# repro: noqa``
     files_checked: int
     rules_run: List[str]
-    files_analyzed: int = 0          #: cache misses (parsed + analyzed)
-    files_cached: int = 0            #: cache hits (facts + findings replayed)
+    #: Rel paths the report covers: every checked file, or only the
+    #: git-touched ones under ``--changed`` (the baseline update scope).
+    linted: List[str]
 
     @property
     def ok(self) -> bool:
@@ -254,63 +255,15 @@ def collect_files(paths: Sequence[Path], root: Path) -> List[SourceFile]:
     return [seen[rel] for rel in sorted(seen)]
 
 
-def collect_paths(paths: Sequence[Path], root: Path) -> List[Tuple[Path, str]]:
-    """``(absolute path, rel)`` pairs under ``paths`` — no parsing.
-
-    The cached/parallel driver wants to hash file contents and decide
-    hit/miss *before* paying for the parse, so discovery is separate
-    from :func:`collect_files` (which both parses eagerly).
-    """
-    seen: Dict[str, Path] = {}
-
-    def rel_of(path: Path) -> str:
-        try:
-            return path.resolve().relative_to(root.resolve()).as_posix()
-        except ValueError:
-            return path.as_posix()
-
-    for path in paths:
-        if path.is_file() and path.suffix == ".py":
-            seen[rel_of(path)] = path
-        elif path.is_dir():
-            for candidate in sorted(path.rglob("*.py")):
-                seen[rel_of(candidate)] = candidate
-    return [(seen[rel], rel) for rel in sorted(seen)]
-
-
 # ----------------------------------------------------------------------
-# Per-file analysis records (the unit of caching and parallelism)
+# Per-file analysis records
 # ----------------------------------------------------------------------
-def _finding_to_dict(finding: Finding) -> Dict[str, object]:
-    return {
-        "rule": finding.rule,
-        "severity": finding.severity,
-        "path": finding.path,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-    }
-
-
-def _finding_from_dict(data: Dict[str, object]) -> Finding:
-    return Finding(
-        rule=str(data["rule"]),
-        severity=str(data["severity"]),
-        path=str(data["path"]),
-        line=int(data["line"]),       # type: ignore[arg-type]
-        col=int(data["col"]),         # type: ignore[arg-type]
-        message=str(data["message"]),
-    )
-
-
 @dataclass
 class FileAnalysis:
     """Everything one file contributes to a lint run.
 
-    Fully JSON-serializable so it can cross the worker-pool pickle
-    boundary and live in the content-addressed cache: single-file rule
-    findings (already split by suppression), the noqa map (project-rule
-    findings are suppressed against it later), and the
+    Single-file rule findings (already split by suppression), the noqa
+    map (project-rule findings are suppressed against it later), and the
     :class:`~repro.analysis.project.FileFacts` the whole-program passes
     consume.  ``facts`` is None for files that failed to parse.
     """
@@ -320,32 +273,6 @@ class FileAnalysis:
     suppressed: List[Finding]
     noqa: Dict[int, Optional[FrozenSet[str]]]
     facts: Optional[FileFacts]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "rel": self.rel,
-            "findings": [_finding_to_dict(f) for f in self.findings],
-            "suppressed": [_finding_to_dict(f) for f in self.suppressed],
-            "noqa": {
-                str(line): (None if rules is None else sorted(rules))
-                for line, rules in self.noqa.items()
-            },
-            "facts": None if self.facts is None else self.facts.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FileAnalysis":
-        noqa: Dict[int, Optional[FrozenSet[str]]] = {}
-        for line, rules in data.get("noqa", {}).items():  # type: ignore[union-attr]
-            noqa[int(line)] = None if rules is None else frozenset(rules)
-        facts_data = data.get("facts")
-        return cls(
-            rel=str(data["rel"]),
-            findings=[_finding_from_dict(f) for f in data["findings"]],  # type: ignore[union-attr]
-            suppressed=[_finding_from_dict(f) for f in data["suppressed"]],  # type: ignore[union-attr]
-            noqa=noqa,
-            facts=None if facts_data is None else FileFacts.from_dict(facts_data),  # type: ignore[arg-type]
-        )
 
 
 def analyze_file(src: SourceFile, rules: Sequence[Rule]) -> FileAnalysis:
@@ -396,10 +323,8 @@ def finish_run(
 ) -> Tuple[List[Finding], List[Finding]]:
     """Merge per-file analyses and run the whole-program rules.
 
-    This is the single merge point for the serial, parallel, and cached
-    drivers, which is what makes their outputs byte-identical: however
-    an analysis record was produced, the project rules see the same
-    facts and the same deterministic ordering.
+    Analyses are sorted by path first, so the project rules see the same
+    facts in the same order whatever order the files were analyzed in.
     """
     ordered = sorted(analyses, key=lambda a: a.rel)
     findings: List[Finding] = []
@@ -410,7 +335,7 @@ def finish_run(
 
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     if project_rules:
-        index = ProjectIndex.from_facts(
+        index = ProjectIndex(
             [a.facts for a in ordered if a.facts is not None]
         )
         noqa_by_rel = {a.rel: a.noqa for a in ordered}

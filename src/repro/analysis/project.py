@@ -1,7 +1,7 @@
 """Cross-file facts the contract and whole-program rules check against.
 
-Per-file extraction produces a :class:`FileFacts` record — plain,
-JSON-serializable data covering everything the project-level rules need:
+Per-file extraction produces a :class:`FileFacts` record — plain data
+covering everything the project-level rules need:
 
 * every literal-topic ``emit("topic", ...)``/``on("topic", cb)`` site
   (REP201–REP203) plus the payload *shapes* and handler signatures the
@@ -13,11 +13,10 @@ JSON-serializable data covering everything the project-level rules need:
 * class field shapes and process-boundary submission sites feeding the
   pickle-escape pass (REP130).
 
-Because ``FileFacts`` round-trips through JSON, the analysis cache can
-persist it per file and a later run can rebuild the whole
-:class:`ProjectIndex` — including the call graph — without reparsing
-unchanged files.  Everything is syntactic: no imports are executed, so
-the linter runs on broken or dependency-free checkouts.
+:class:`ProjectIndex` links the per-file records into the whole-program
+models (call graph, taint closure, schema model, escape analysis).
+Everything is syntactic: no imports are executed, so the linter runs on
+broken or dependency-free checkouts.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from __future__ import annotations
 import ast
 import hashlib
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple,
-)
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .callgraph import CallGraph, FunctionInfo, module_name
 from .dataflow import (
@@ -38,10 +35,6 @@ from .schema_infer import (
     EmitShape, HandlerShape, SchemaModel, SubscriptionShape,
     extract_schema_facts,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from .engine import SourceFile
-
 
 @dataclass(frozen=True)
 class TopicSite:
@@ -54,21 +47,6 @@ class TopicSite:
     #: Keyword names passed alongside the topic (emit payload keys).
     payload_keys: Tuple[str, ...] = ()
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "topic": self.topic, "path": self.path,
-            "line": self.line, "col": self.col,
-            "payload_keys": list(self.payload_keys),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TopicSite":
-        return cls(
-            topic=data["topic"], path=data["path"],
-            line=data["line"], col=data["col"],
-            payload_keys=tuple(data["payload_keys"]),
-        )
-
 
 @dataclass(frozen=True)
 class ConstantSite:
@@ -78,19 +56,6 @@ class ConstantSite:
     value: object
     path: str
     line: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name, "value": self.value,
-            "path": self.path, "line": self.line,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ConstantSite":
-        return cls(
-            name=data["name"], value=data["value"],
-            path=data["path"], line=data["line"],
-        )
 
 
 def session_result_fingerprint(fields: Sequence[Tuple[str, str]]) -> str:
@@ -123,58 +88,6 @@ class FileFacts:
     handlers: List[HandlerShape] = field(default_factory=list)
     classes: List[ClassShape] = field(default_factory=list)
     submit_sites: List[SubmitSite] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "rel": self.rel,
-            "module": self.module,
-            "emits": [s.to_dict() for s in self.emits],
-            "subscriptions": [s.to_dict() for s in self.subscriptions],
-            "dynamic_topics": [s.to_dict() for s in self.dynamic_topics],
-            "constants": [s.to_dict() for s in self.constants],
-            "session_result_fields": (
-                [list(f) for f in self.session_result_fields]
-                if self.session_result_fields is not None else None
-            ),
-            "session_result_line": self.session_result_line,
-            "functions": [f.to_dict() for f in self.functions],
-            "emit_shapes": [s.to_dict() for s in self.emit_shapes],
-            "sub_shapes": [s.to_dict() for s in self.sub_shapes],
-            "handlers": [h.to_dict() for h in self.handlers],
-            "classes": [c.to_dict() for c in self.classes],
-            "submit_sites": [s.to_dict() for s in self.submit_sites],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FileFacts":
-        fields_raw = data["session_result_fields"]
-        return cls(
-            rel=data["rel"],
-            module=data["module"],
-            emits=[TopicSite.from_dict(s) for s in data["emits"]],
-            subscriptions=[
-                TopicSite.from_dict(s) for s in data["subscriptions"]
-            ],
-            dynamic_topics=[
-                TopicSite.from_dict(s) for s in data["dynamic_topics"]
-            ],
-            constants=[ConstantSite.from_dict(s) for s in data["constants"]],
-            session_result_fields=(
-                [(f[0], f[1]) for f in fields_raw]
-                if fields_raw is not None else None
-            ),
-            session_result_line=data["session_result_line"],
-            functions=[FunctionInfo.from_dict(f) for f in data["functions"]],
-            emit_shapes=[EmitShape.from_dict(s) for s in data["emit_shapes"]],
-            sub_shapes=[
-                SubscriptionShape.from_dict(s) for s in data["sub_shapes"]
-            ],
-            handlers=[HandlerShape.from_dict(h) for h in data["handlers"]],
-            classes=[ClassShape.from_dict(c) for c in data["classes"]],
-            submit_sites=[
-                SubmitSite.from_dict(s) for s in data["submit_sites"]
-            ],
-        )
 
 
 def extract_file_facts(rel: str, tree: ast.AST) -> FileFacts:
@@ -259,27 +172,13 @@ def _scan_assign(facts: FileFacts, node: ast.Assign) -> None:
 class ProjectIndex:
     """Facts extracted from every file in the lint target set.
 
-    Builds either directly from parsed :class:`SourceFile` objects or —
-    via :meth:`from_facts` — from cached :class:`FileFacts` records.
-    The heavyweight whole-program models (call graph, taint closure,
-    schema model, escape analysis) are constructed lazily so rule
-    subsets that never touch them pay nothing.
+    Built from the per-file :class:`FileFacts` records.  The heavyweight
+    whole-program models (call graph, taint closure, schema model,
+    escape analysis) are constructed lazily so rule subsets that never
+    touch them pay nothing.
     """
 
-    def __init__(self, files: Sequence["SourceFile"]) -> None:
-        facts = [
-            extract_file_facts(src.rel, src.tree)
-            for src in files if src.tree is not None
-        ]
-        self._init_from_facts(facts)
-
-    @classmethod
-    def from_facts(cls, facts: Sequence[FileFacts]) -> "ProjectIndex":
-        index = cls.__new__(cls)
-        index._init_from_facts(list(facts))
-        return index
-
-    def _init_from_facts(self, facts: Sequence[FileFacts]) -> None:
+    def __init__(self, facts: Sequence[FileFacts]) -> None:
         ordered = sorted(facts, key=lambda f: f.rel)
         self.facts: Dict[str, FileFacts] = {f.rel: f for f in ordered}
         self.emits: List[TopicSite] = []

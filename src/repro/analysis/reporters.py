@@ -2,8 +2,8 @@
 
 The JSON schema is stable and versioned (``REPORT_SCHEMA_VERSION``);
 ``tests/analysis`` locks it, since dashboards and the CI annotation
-step consume it.  Version 2 added ``files_analyzed``/``files_cached``
-to the summary (the analysis-cache hit/miss split).
+step consume it.  Version 3 removed the ``files_analyzed``/
+``files_cached`` summary keys that version 2 added.
 
 SARIF 2.1.0 output (``repro lint --sarif``) feeds GitHub code
 scanning: findings annotate the PR diff at their exact location, and
@@ -18,7 +18,7 @@ from typing import Any, Dict, List
 
 from .engine import Finding, LintResult
 
-REPORT_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 3
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -52,8 +52,6 @@ def render_json(result: LintResult) -> Dict[str, Any]:
             "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
             "files_checked": result.files_checked,
-            "files_analyzed": result.files_analyzed,
-            "files_cached": result.files_cached,
             "rules_run": list(result.rules_run),
         },
     }
@@ -72,11 +70,6 @@ def render_text(result: LintResult) -> List[str]:
         f"{len(result.suppressed)} suppressed, "
         f"{result.files_checked} file(s) checked"
     )
-    if result.files_cached:
-        summary += (
-            f" ({result.files_analyzed} analyzed, "
-            f"{result.files_cached} from cache)"
-        )
     lines.append(summary if result.findings else f"clean: {summary}")
     return lines
 

@@ -20,15 +20,14 @@ A handler that does anything else with its ``**kwargs`` (iterates it,
 forwards it, stores it) is *opaque*: it reads everything, so dead-key
 reasoning is disabled for its topics rather than guessed at.
 
-Extraction here is per-file and JSON-serializable (cache-friendly);
-linking happens in :class:`SchemaModel` over the whole target set.
+Extraction here is per-file plain data; linking happens in :class:`SchemaModel` over the whole target set.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -43,21 +42,6 @@ class EmitShape:
     #: True when the site forwards ``**something`` — its full key set is
     #: statically unknown, which disables phantom-key checks for the topic.
     splat: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "topic": self.topic, "module": self.module,
-            "line": self.line, "col": self.col,
-            "keys": list(self.keys), "splat": self.splat,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "EmitShape":
-        return cls(
-            topic=data["topic"], module=data["module"],
-            line=data["line"], col=data["col"],
-            keys=list(data["keys"]), splat=data["splat"],
-        )
 
 
 @dataclass
@@ -79,29 +63,6 @@ class HandlerShape:
     #: The catch-all is used wholesale (iterated/forwarded/stored) — the
     #: handler effectively reads every key.
     opaque: bool = False
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "ref": self.ref, "module": self.module,
-            "line": self.line, "col": self.col,
-            "params": [list(p) for p in self.params],
-            "kwargs_name": self.kwargs_name,
-            "has_star_args": self.has_star_args,
-            "gets": list(self.gets), "requires": list(self.requires),
-            "opaque": self.opaque,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "HandlerShape":
-        return cls(
-            ref=data["ref"], module=data["module"],
-            line=data["line"], col=data["col"],
-            params=[(p[0], bool(p[1])) for p in data["params"]],
-            kwargs_name=data["kwargs_name"],
-            has_star_args=data["has_star_args"],
-            gets=list(data["gets"]), requires=list(data["requires"]),
-            opaque=data["opaque"],
-        )
 
     # -- derived views --------------------------------------------------
     def param_names(self) -> List[str]:
@@ -147,24 +108,6 @@ class SubscriptionShape:
     #: statically unresolvable (partial application etc.).
     handler_ref: Optional[str] = None
     inline: Optional[HandlerShape] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "topic": self.topic, "module": self.module,
-            "line": self.line, "col": self.col,
-            "handler_ref": self.handler_ref,
-            "inline": self.inline.to_dict() if self.inline else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SubscriptionShape":
-        return cls(
-            topic=data["topic"], module=data["module"],
-            line=data["line"], col=data["col"],
-            handler_ref=data["handler_ref"],
-            inline=HandlerShape.from_dict(data["inline"])
-            if data["inline"] else None,
-        )
 
 
 # ----------------------------------------------------------------------

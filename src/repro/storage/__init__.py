@@ -8,7 +8,6 @@ surface             module                                      fault point
 result cache        :mod:`repro.experiments.parallel`           ``storage:result-cache``
 sweep journals      :mod:`repro.experiments.checkpoint`         (append-only: CRC-checked)
 trace store         :mod:`repro.trace.store`                    ``storage:trace-store``
-analysis cache      :mod:`repro.analysis.cache`                 ``storage:analysis-cache``
 cohort exports      :mod:`repro.study.export`                   ``storage:study-export``
 arena leaderboard   :mod:`repro.arena.leaderboard`              ``storage:leaderboard``
 ==================  ==========================================  ==================

@@ -1,9 +1,9 @@
 """Atomic publish discipline: the only way an artifact reaches disk.
 
 Every persistence surface in the repo — the result cache, the sweep
-journals, the trace store, the lint cache, the cohort exports, the
-arena leaderboards — ultimately boils down to "make these bytes appear
-at this path, all or nothing, and survive a crash".  Before this layer
+journals, the trace store, the cohort exports, the arena leaderboards —
+ultimately boils down to "make these bytes appear at this path, all or
+nothing, and survive a crash".  Before this layer
 each surface had its own partial answer (bare ``write_bytes`` in the
 leaderboard, tmp+rename without fsync in the caches).  This module is
 the single full answer:

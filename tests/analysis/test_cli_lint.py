@@ -1,32 +1,52 @@
-"""The `repro lint` CLI: exit codes, JSON output, baseline update.
-
-CLI invocations here pass --no-cache: the default cache directory is
-relative to the cwd, and these tests chdir into the fixture tree.
-"""
+"""The `repro lint` CLI: exit codes, JSON output, baseline update."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.analysis.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO_ROOT = Path(__file__).parents[2]
 
 
 def test_exit_zero_on_clean_target(monkeypatch):
     monkeypatch.chdir(FIXTURES)
-    assert main(["repro/kernel/good_deterministic.py", "--no-cache"]) == 0
+    assert main(["repro/kernel/good_deterministic.py"]) == 0
 
 
 def test_exit_one_on_findings(monkeypatch):
     monkeypatch.chdir(FIXTURES)
-    assert main(
-        ["repro/kernel/bad_random.py", "--no-baseline", "--no-cache"]
-    ) == 1
+    assert main(["repro/kernel/bad_random.py", "--no-baseline"]) == 1
 
 
 def test_exit_two_on_missing_path(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert main(["does/not/exist"]) == 2
+
+
+def test_exit_two_on_unknown_rule(monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURES)
+    assert main(["repro/kernel/bad_random.py", "--rules", "REP999"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("repro lint: unknown rule 'REP999' (known: ")
+    assert "REP101" in err[0]
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    """`python -m repro.analysis.cli` is the pre-commit entry point; the
+    package must not import the module before runpy executes it."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.analysis.cli", "--list-rules"],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "REP101" in proc.stdout
 
 
 def test_list_rules(monkeypatch, capsys):
@@ -41,15 +61,14 @@ def test_rules_filter(monkeypatch):
     monkeypatch.chdir(FIXTURES)
     # bad_random violates REP102 only; filtering to REP101 passes it.
     assert main([
-        "repro/kernel/bad_random.py", "--no-baseline", "--no-cache",
-        "--rules", "REP101",
+        "repro/kernel/bad_random.py", "--no-baseline", "--rules", "REP101",
     ]) == 0
 
 
 def test_json_output(monkeypatch, capsys):
     monkeypatch.chdir(FIXTURES)
     assert main([
-        "repro/kernel/bad_random.py", "--no-baseline", "--no-cache", "--json",
+        "repro/kernel/bad_random.py", "--no-baseline", "--json",
     ]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
@@ -62,7 +81,7 @@ def test_update_baseline_then_green(monkeypatch, tmp_path):
     monkeypatch.chdir(FIXTURES)
     baseline = tmp_path / "baseline.json"
     bad = "repro/kernel/bad_random.py"
-    common = ["--baseline", str(baseline), "--no-cache"]
+    common = ["--baseline", str(baseline)]
     assert main([bad, *common, "--no-baseline"]) == 1
     assert main([bad, *common, "--update-baseline"]) == 0
     assert baseline.exists()

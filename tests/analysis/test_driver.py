@@ -1,9 +1,4 @@
-"""The production lint driver: cache, parallel fan-out, baseline merge.
-
-The contract under test: however a run is executed — serial, ``--jobs
-N``, cold cache, warm cache — the JSON report is byte-identical, and a
-warm cache re-analyzes zero unchanged files.
-"""
+"""The production lint driver: baseline merge/prune and SARIF output."""
 
 import json
 from pathlib import Path
@@ -15,87 +10,14 @@ from repro.analysis.baseline import (
 )
 from repro.analysis.cli import main, run_lint
 from repro.analysis.engine import Finding
-from repro.analysis.reporters import render_json, render_sarif
+from repro.analysis.reporters import render_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TARGET = FIXTURES / "repro"
 
 
-def lint(**kwargs):
-    return run_lint([TARGET], root=FIXTURES, use_baseline=False, **kwargs)
-
-
-def report_bytes(result):
-    return json.dumps(render_json(result), indent=2, sort_keys=True)
-
-
-# ----------------------------------------------------------------------
-# Parallel fan-out
-# ----------------------------------------------------------------------
-def test_parallel_report_is_byte_identical_to_serial():
-    serial = lint(jobs=1)
-    parallel = lint(jobs=4)
-    assert report_bytes(serial) == report_bytes(parallel)
-    assert serial.findings  # the fixture tree is not trivially empty
-
-
-# ----------------------------------------------------------------------
-# Content-addressed cache
-# ----------------------------------------------------------------------
-def test_warm_cache_reanalyzes_zero_files(tmp_path):
-    cache_dir = tmp_path / "cache"
-    uncached = lint()
-    cold = lint(cache_dir=cache_dir)
-    warm = lint(cache_dir=cache_dir)
-    assert cold.files_analyzed == cold.files_checked
-    assert cold.files_cached == 0
-    assert warm.files_analyzed == 0
-    assert warm.files_cached == warm.files_checked
-    # Cache state is reported in the summary but must never change the
-    # findings themselves.
-    for result in (cold, warm):
-        assert result.findings == uncached.findings
-        assert result.suppressed == uncached.suppressed
-
-
-def test_edited_file_is_reanalyzed(tmp_path):
-    cache_dir = tmp_path / "cache"
-    tree = tmp_path / "repro" / "kernel"
-    tree.mkdir(parents=True)
-    target = tree / "mod.py"
-    target.write_text("import time\n\ndef f():\n    return time.time()\n")
-
-    first = run_lint([tmp_path], root=tmp_path, use_baseline=False,
-                     cache_dir=cache_dir)
-    assert first.files_analyzed == 1 and [f.rule for f in first.findings] == ["REP101"]
-
-    warm = run_lint([tmp_path], root=tmp_path, use_baseline=False,
-                    cache_dir=cache_dir)
-    assert warm.files_analyzed == 0 and warm.files_cached == 1
-
-    target.write_text("def f():\n    return 0\n")
-    edited = run_lint([tmp_path], root=tmp_path, use_baseline=False,
-                      cache_dir=cache_dir)
-    assert edited.files_analyzed == 1
-    assert edited.findings == []
-
-
-def test_cache_is_keyed_on_rule_set(tmp_path):
-    cache_dir = tmp_path / "cache"
-    lint(cache_dir=cache_dir, only_rules=["REP101"])
-    full = lint(cache_dir=cache_dir)
-    # A --rules subset must not serve records to the full run.
-    assert full.files_cached == 0
-
-
-def test_corrupt_cache_entry_degrades_to_miss(tmp_path):
-    cache_dir = tmp_path / "cache"
-    first = lint(cache_dir=cache_dir)
-    for entry in cache_dir.glob("*.json"):
-        entry.write_text("{not json")
-    again = lint(cache_dir=cache_dir)
-    assert again.files_cached == 0
-    assert again.findings == first.findings
+def lint():
+    return run_lint([TARGET], root=FIXTURES, use_baseline=False)
 
 
 # ----------------------------------------------------------------------
@@ -160,7 +82,7 @@ def test_update_baseline_cli_warns_on_shrink_and_prunes(
     doomed = tree / "doomed.py"
     doomed.write_text("import time\n\ndef f():\n    return time.time()\n")
     baseline = tmp_path / "baseline.json"
-    common = ["--baseline", str(baseline), "--no-cache"]
+    common = ["--baseline", str(baseline)]
     assert main(["repro", *common, "--update-baseline"]) == 0
     assert load_baseline(baseline)  # the wall-clock debt is recorded
     capsys.readouterr()
@@ -199,8 +121,7 @@ def test_sarif_cli_writes_file(tmp_path, monkeypatch):
     monkeypatch.chdir(FIXTURES)
     out = tmp_path / "lint.sarif"
     assert main([
-        "repro/kernel/bad_random.py", "--no-baseline", "--no-cache",
-        "--sarif", str(out),
+        "repro/kernel/bad_random.py", "--no-baseline", "--sarif", str(out),
     ]) == 1
     doc = json.loads(out.read_text())
     assert doc["version"] == "2.1.0"

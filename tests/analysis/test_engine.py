@@ -111,8 +111,7 @@ def test_json_reporter_schema():
     assert payload["schema"] == REPORT_SCHEMA_VERSION
     assert payload["ok"] is False
     assert set(payload["summary"]) == {
-        "new", "baselined", "suppressed", "files_checked",
-        "files_analyzed", "files_cached", "rules_run",
+        "new", "baselined", "suppressed", "files_checked", "rules_run",
     }
     for entry in payload["findings"]:
         assert set(entry) == {

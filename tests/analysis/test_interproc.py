@@ -4,8 +4,8 @@ Each REP12x/REP13x/REP22x rule is pinned to its bad fixture (it must
 fire there, with the right shape of message) and to its good twin (it
 must stay silent).  A hypothesis property then locks the analyses'
 order-independence: facts extracted from any permutation of the file
-list must produce identical findings, which is the property the
-parallel driver and the cache both lean on.
+list must produce identical findings, so the sorted report depends on
+the file contents alone, never on discovery order.
 """
 
 import random
@@ -149,7 +149,7 @@ def test_matching_bus_shapes_are_silent():
 
 
 # ----------------------------------------------------------------------
-# Order-independence: the property the cache and parallel driver need
+# Order-independence: sorted output depends only on the file contents
 # ----------------------------------------------------------------------
 ALL_FIXTURE_FILES = sorted(
     src.rel for src in collect_files([FIXTURES / "repro"], FIXTURES)
@@ -185,24 +185,9 @@ def test_call_graph_is_order_independent(seed):
     facts = [
         analyze_file(src, []).facts for src in files if src.tree is not None
     ]
-    baseline = ProjectIndex.from_facts(facts).call_graph.edges()
+    baseline = ProjectIndex(facts).call_graph.edges()
 
     shuffled_facts = list(facts)
     random.Random(seed).shuffle(shuffled_facts)
-    shuffled = ProjectIndex.from_facts(shuffled_facts).call_graph.edges()
+    shuffled = ProjectIndex(shuffled_facts).call_graph.edges()
     assert shuffled == baseline
-
-
-def test_analysis_records_round_trip_through_json():
-    """from_dict(to_dict(analysis)) feeds the project rules losslessly —
-    the property the content-addressed cache depends on."""
-    from repro.analysis.engine import FileAnalysis
-
-    rules = build_rules(None)
-    files = collect_files([FIXTURES / "repro"], FIXTURES)
-    analyses = [analyze_file(src, rules) for src in files]
-    direct = finish_run(analyses, rules)
-    restored = [
-        FileAnalysis.from_dict(analysis.to_dict()) for analysis in analyses
-    ]
-    assert finish_run(restored, rules) == direct
