@@ -4,8 +4,9 @@ Per-file extraction produces a :class:`FileFacts` record — plain data
 covering everything the project-level rules need:
 
 * every literal-topic ``emit("topic", ...)``/``on("topic", cb)`` site
-  (REP201–REP203) plus the payload *shapes* and handler signatures the
-  schema-inference pass types against (REP220-series);
+  and ``if "topic" in sim.topics:`` emit gate (REP201–REP203) plus the
+  payload *shapes* and handler signatures the schema-inference pass
+  types against (REP220-series);
 * module-level ``SCHEMA_VERSION``/``SCHEMA_FINGERPRINT`` constants and
   the ``SessionResult`` field list (REP204);
 * per-function call sites and taint summaries feeding the
@@ -49,6 +50,19 @@ class TopicSite:
 
 
 @dataclass(frozen=True)
+class TopicGate:
+    """One ``"topic" in <x>.topics`` (or ``not in``) test in an ``if``."""
+
+    topic: str
+    path: str
+    line: int
+    col: int
+    #: Literal-topic emits in the guarded body that no ``in`` test of
+    #: the same ``if`` names (kept on its first ``in`` test only).
+    stray_emits: Tuple[TopicSite, ...] = ()
+
+
+@dataclass(frozen=True)
 class ConstantSite:
     """A module-level constant assignment (SCHEMA_VERSION and friends)."""
 
@@ -79,6 +93,7 @@ class FileFacts:
     emits: List[TopicSite] = field(default_factory=list)
     subscriptions: List[TopicSite] = field(default_factory=list)
     dynamic_topics: List[TopicSite] = field(default_factory=list)
+    gates: List[TopicGate] = field(default_factory=list)
     constants: List[ConstantSite] = field(default_factory=list)
     session_result_fields: Optional[List[Tuple[str, str]]] = None
     session_result_line: Optional[int] = None
@@ -99,6 +114,8 @@ def extract_file_facts(rel: str, tree: ast.AST) -> FileFacts:
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             _scan_call(facts, node)
+        elif isinstance(node, ast.If):
+            facts.gates.extend(_topic_gates(facts.rel, node))
         elif isinstance(node, ast.ClassDef) and node.name == "SessionResult":
             fields: List[Tuple[str, str]] = []
             for stmt in node.body:
@@ -120,23 +137,30 @@ def extract_file_facts(rel: str, tree: ast.AST) -> FileFacts:
     return facts
 
 
+def _topic_site(rel: str, node: ast.Call) -> Optional[TopicSite]:
+    """The site of a call whose first argument is a literal topic."""
+    first = node.args[0] if node.args else None
+    if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
+        return None
+    return TopicSite(
+        topic=first.value,
+        path=rel,
+        line=node.lineno,
+        col=node.col_offset + 1,
+        payload_keys=tuple(
+            kw.arg for kw in node.keywords if kw.arg is not None
+        ),
+    )
+
+
 def _scan_call(facts: FileFacts, node: ast.Call) -> None:
     func = node.func
     if not isinstance(func, ast.Attribute) or func.attr not in ("emit", "on"):
         return
     if not node.args:
         return
-    first = node.args[0]
-    if isinstance(first, ast.Constant) and isinstance(first.value, str):
-        site = TopicSite(
-            topic=first.value,
-            path=facts.rel,
-            line=node.lineno,
-            col=node.col_offset + 1,
-            payload_keys=tuple(
-                kw.arg for kw in node.keywords if kw.arg is not None
-            ),
-        )
+    site = _topic_site(facts.rel, node)
+    if site is not None:
         if func.attr == "emit":
             facts.emits.append(site)
         else:
@@ -151,6 +175,65 @@ def _scan_call(facts: FileFacts, node: ast.Call) -> None:
             line=node.lineno,
             col=node.col_offset + 1,
         ))
+
+
+def _is_topics(node: ast.expr) -> bool:
+    """``<x>.topics``, or an alias of it: ``topics``, ``self._topics``."""
+    if isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return False
+    return name.lstrip("_") == "topics"
+
+
+def _gate_tests(test: ast.expr) -> List[Tuple[ast.Constant, bool]]:
+    """``("topic", positive)`` for each ``"topic" [not] in <x>.topics``
+    comparison in an ``if`` test."""
+    tests: List[Tuple[ast.Constant, bool]] = []
+    for node in ast.walk(test):
+        if not (isinstance(node, ast.Compare) and len(node.ops) == 1):
+            continue
+        left, op, right = node.left, node.ops[0], node.comparators[0]
+        if not (isinstance(left, ast.Constant) and isinstance(left.value, str)):
+            continue
+        if not isinstance(op, (ast.In, ast.NotIn)):
+            continue
+        if _is_topics(right):
+            tests.append((left, isinstance(op, ast.In)))
+    return tests
+
+
+def _topic_gates(rel: str, node: ast.If) -> List[TopicGate]:
+    """One gate per topic test of ``node``; emits in its body that no
+    ``in`` test names go on the first ``in`` gate."""
+    tests = _gate_tests(node.test)
+    named = [const for const, positive in tests if positive]
+    stray: Tuple[TopicSite, ...] = ()
+    if named:
+        topics = {const.value for const in named}
+        emits = [
+            _topic_site(rel, call)
+            for stmt in node.body for call in ast.walk(stmt)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr == "emit"
+        ]
+        stray = tuple(
+            site for site in emits
+            if site is not None and site.topic not in topics
+        )
+    return [
+        TopicGate(
+            topic=const.value,
+            path=rel,
+            line=const.lineno,
+            col=const.col_offset + 1,
+            stray_emits=stray if named and const is named[0] else (),
+        )
+        for const, _ in tests
+    ]
 
 
 def _scan_assign(facts: FileFacts, node: ast.Assign) -> None:
@@ -184,6 +267,7 @@ class ProjectIndex:
         self.emits: List[TopicSite] = []
         self.subscriptions: List[TopicSite] = []
         self.dynamic_topics: List[TopicSite] = []
+        self.gates: List[TopicGate] = []
         self.constants: Dict[str, List[ConstantSite]] = {}
         #: Ordered (name, annotation) pairs of the SessionResult fields.
         self.session_result_fields: Optional[List[Tuple[str, str]]] = None
@@ -194,6 +278,7 @@ class ProjectIndex:
             self.emits.extend(f.emits)
             self.subscriptions.extend(f.subscriptions)
             self.dynamic_topics.extend(f.dynamic_topics)
+            self.gates.extend(f.gates)
             for site in f.constants:
                 self.constants.setdefault(site.name, []).append(site)
             if f.session_result_fields is not None:

@@ -11,7 +11,9 @@ time:
 
 ========  ==========================================================
 REP201    a subscribed topic has no emit() site anywhere (dead checker)
-REP202    an emitted topic is a near-miss of a subscribed topic (typo)
+REP202    an emitted topic is a near-miss of a subscribed topic (typo),
+          or an ``if "<t>" in sim.topics:`` gate names a topic nothing
+          emits or guards an emit of a different topic
 REP203    emit() with a non-literal topic (defeats static checking)
 REP204    SessionResult shape changed without a SCHEMA_FINGERPRINT /
           SCHEMA_VERSION bump
@@ -87,15 +89,19 @@ class OrphanSubscriptionRule(ProjectRule):
 
 
 class TopicNearMissRule(ProjectRule):
-    """REP202: emitted topics one typo away from a subscribed topic."""
+    """REP202: emit topics and emit gates that miss their counterpart."""
 
     id = "REP202"
-    title = "emit topic is a near-miss of a subscribed topic"
+    title = "emit topic or emit gate does not match its counterpart"
     rationale = (
         "An emit site whose topic differs from a subscribed topic by a "
         "character or two is almost certainly a typo: the subscriber "
         "keeps matching other emit sites, so nothing fails at runtime — "
-        "events from this site just vanish."
+        "events from this site just vanish.  The same holds for the "
+        "per-topic gate in front of an emit: a gate string no emit "
+        "publishes, or one naming a topic other than the emit it "
+        "guards, switches that emit off (or on) for the wrong "
+        "subscribers, silently."
     )
 
     def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
@@ -114,6 +120,29 @@ class TopicNearMissRule(ProjectRule):
                         f"emitted topic {topic!r} looks like a typo of "
                         f"subscribed topic {near!r} — events from this "
                         "site reach no subscriber"
+                    ),
+                )
+        emitted = set(index.emitted_topics)
+        for gate in index.gates:
+            if gate.topic not in emitted:
+                near = _nearest(gate.topic, emitted, limit=2)
+                hint = f" (did you mean {near!r}?)" if near else ""
+                yield Finding(
+                    rule=self.id, severity=self.severity,
+                    path=gate.path, line=gate.line, col=gate.col,
+                    message=(
+                        f"emit gate tests {gate.topic!r} but no emit() "
+                        f"publishes that topic{hint}"
+                    ),
+                )
+            for site in gate.stray_emits:
+                yield Finding(
+                    rule=self.id, severity=self.severity,
+                    path=site.path, line=site.line, col=site.col,
+                    message=(
+                        f"emit of {site.topic!r} is gated on "
+                        f"{gate.topic!r} (line {gate.line}) — it fires "
+                        f"only while {gate.topic!r} has a subscriber"
                     ),
                 )
 

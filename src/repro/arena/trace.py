@@ -11,12 +11,14 @@ existing instrumentation topics:
   events that are not late are rendered frames, timestamped at emit;
 * ``pressure.state`` — every pressure-level transition.
 
-Subscribing rides the zero-cost ``sim.tracing`` gate the validation
-subsystem established: handlers are read-only, so an instrumented
-session's :class:`SessionResult` is bit-identical to a bare one (the
-containment tests in ``tests/faults`` prove this property for checkers;
-``tests/arena`` proves it for the collector via the differential
-oracle).
+Every emit site is gated on its own topic, so subscribing to these two
+makes only the video pipeline and the pressure monitor build payloads;
+the scheduler keeps its wakeup fast path (only ``sched.state`` and
+``sched.wakeup`` subscribers turn it off).  Handlers are read-only, so
+an instrumented session's :class:`SessionResult` is bit-identical to a
+bare one (the containment tests in ``tests/faults`` prove this property
+for checkers; ``tests/arena`` proves it for the collector via the
+differential oracle).
 """
 
 from __future__ import annotations

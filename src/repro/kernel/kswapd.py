@@ -41,7 +41,7 @@ class Kswapd:
             return
         self.active = True
         self.manager.vmstat.kswapd_wakeups += 1
-        if self.sim.tracing:
+        if "kswapd.wake" in self.sim.topics:
             self.sim.emit("kswapd.wake")
         self._balance()
 
@@ -49,7 +49,7 @@ class Kswapd:
         state = self.manager.state
         if state.above_high:
             self.active = False
-            if self.sim.tracing:
+            if "kswapd.sleep" in self.sim.topics:
                 self.sim.emit("kswapd.sleep")
             return
         plan = build_plan(

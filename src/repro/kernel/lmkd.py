@@ -68,7 +68,8 @@ class Lmkd:
             return
         victim = candidates[0]
         self._pending = victim
-        self.sim.emit("lmkd.consider", victim=victim, pressure=pressure)
+        if "lmkd.consider" in self.sim.topics:
+            self.sim.emit("lmkd.consider", victim=victim, pressure=pressure)
         self.thread.post(
             KILL_CPU_US,
             on_complete=lambda: self._execute(victim, pressure),

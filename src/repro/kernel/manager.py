@@ -127,7 +127,8 @@ class MemoryManager:
             self.vmstat.lmkd_kills += 1
         elif reason == "oom":
             self.vmstat.oom_kills += 1
-        self.sim.emit("process.kill", process=process, reason=reason)
+        if "process.kill" in self.sim.topics:
+            self.sim.emit("process.kill", process=process, reason=reason)
         for callback in list(process.on_kill):
             callback(reason)
         self.monitor.update()
@@ -170,7 +171,7 @@ class MemoryManager:
                 "with no thread to perform direct reclaim"
             )
         self.vmstat.allocstall += 1
-        if self.sim.tracing:
+        if "alloc.stall" in self.sim.topics:
             self.sim.emit("alloc.stall", process=process, pages=pages)
         self._direct_reclaim(process, thread, pages, kind, hot_fraction, on_granted)
         return False
@@ -412,7 +413,7 @@ class MemoryManager:
                 )
 
         self.vmstat.record_scan(self.sim.now, plan.scanned, freed_now)
-        if self.sim.tracing:
+        if "memory.plan" in self.sim.topics:
             self.sim.emit(
                 "memory.plan",
                 manager=self,

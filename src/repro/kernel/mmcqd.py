@@ -96,7 +96,7 @@ class Mmcqd:
 
     def _finish(self, request: IoRequest) -> None:
         self.completed_requests += 1
-        if self.sim.tracing:
+        if "io.complete" in self.sim.topics:
             self.sim.emit("io.complete", kind=request.kind, pages=request.pages)
         if request.on_complete is not None:
             request.on_complete()

@@ -117,7 +117,7 @@ class PressureMonitor:
             previous = self.level
             self.level = new_level
             self.state_log.append((self.sim.now, new_level))
-            if self.sim.tracing:
+            if "pressure.state" in self.sim.topics:
                 self.sim.emit(
                     "pressure.state", level=new_level, previous=previous
                 )
@@ -139,7 +139,8 @@ class PressureMonitor:
     def _emit(self, level: MemoryPressureLevel) -> None:
         self._last_emit = self.sim.now
         self.signal_log.append((self.sim.now, level))
-        self.sim.emit("pressure.signal", level=level)
+        if "pressure.signal" in self.sim.topics:
+            self.sim.emit("pressure.signal", level=level)
         for callback in self._subscribers:
             callback(level, self.sim.now)
 

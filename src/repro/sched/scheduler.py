@@ -173,6 +173,9 @@ class Scheduler:
         if not cores:
             raise ValueError("at least one core is required")
         self.sim = sim
+        #: ``sim.topics`` (a live view, so never stale), held here to
+        #: save an attribute hop on the emit gates of the hottest paths.
+        self._topics = sim.topics
         self.cores = cores
         self.quantum = quantum
         self.threads: List[Thread] = []
@@ -287,8 +290,8 @@ class Scheduler:
             # elided.
             if self._elided_count:
                 self._materialize_lower(thread.sched_class)
-            sim = self.sim
-            if not sim.tracing:
+            topics = self._topics
+            if "sched.state" not in topics and "sched.wakeup" not in topics:
                 rq = self._rq
                 if not (rq[0] or rq[1] or rq[2] or rq[3]):
                     core = self._pick_core(thread)
@@ -299,15 +302,18 @@ class Scheduler:
                         # runqueue append, dispatch scan, remove — is
                         # pure bookkeeping with identical accounting
                         # (the skipped RUNNABLE interval has zero
-                        # length), so go straight to the slice.  With
-                        # tracing on we keep the explicit route so the
-                        # wakeup/state event stream is unchanged.
+                        # length), so go straight to the slice.  Only
+                        # a ``sched.state`` or ``sched.wakeup``
+                        # subscriber (the trace recorder) could see the
+                        # difference, so those keep the explicit route;
+                        # ``sched.switch`` and ``sched.migrate`` fire
+                        # on both.
                         self._start_slice(thread, core)
                         return
             self._transition(thread, ThreadState.RUNNABLE)
             self._rq[thread.sched_class].append(thread)
-            if sim.tracing:
-                sim.emit("sched.wakeup", thread=thread)
+            if "sched.wakeup" in topics:
+                self.sim.emit("sched.wakeup", thread=thread)
         self._dispatch()
 
     def _transition(self, thread: Thread, new_state: ThreadState) -> None:
@@ -321,7 +327,7 @@ class Scheduler:
         accounting.totals[old] += now - accounting.since
         accounting.current = new_state
         accounting.since = now
-        if self.sim.tracing:
+        if "sched.state" in self._topics:
             self.sim.emit("sched.state", thread=thread, old=old, new=new_state)
 
     def _core_of(self, thread: Thread) -> Core:
@@ -448,7 +454,7 @@ class Scheduler:
         self.preemption_count += 1
         self._rq[victim.sched_class].append(victim)
         core.current = None
-        if self.sim.tracing:
+        if "sched.preempt" in self._topics:
             self.sim.emit(
                 "sched.preempt", victim=victim, victor=victor, core=core.index,
                 kind="preempt",
@@ -466,7 +472,7 @@ class Scheduler:
             return
         if thread.last_core is not None and thread.last_core != core.index:
             thread.migrations += 1
-            if self.sim.tracing:
+            if "sched.migrate" in self._topics:
                 self.sim.emit(
                     "sched.migrate",
                     thread=thread,
@@ -478,7 +484,7 @@ class Scheduler:
         core.slice_started = self.sim.now
         self._transition(thread, ThreadState.RUNNING)
         self.context_switches += 1
-        if self.sim.tracing:
+        if "sched.switch" in self._topics:
             self.sim.emit("sched.switch", thread=thread, core=core.index)
         self._arm_slice_end(core)
 
@@ -699,7 +705,7 @@ class Scheduler:
             thread.preemptions_suffered += 1
             self.preemption_count += 1
             self._rq[thread.sched_class].append(thread)
-            if self.sim.tracing:
+            if "sched.preempt" in self._topics:
                 self.sim.emit(
                     "sched.preempt", victim=thread, victor=waiter,
                     core=core.index, kind="rotate",

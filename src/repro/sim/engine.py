@@ -17,7 +17,7 @@ stack traces flat.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, KeysView, List, Optional
 
 from .clock import Time
 from .events import INSERTION_WINDOW, Event, EventQueue
@@ -31,7 +31,7 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Discrete-event simulation engine with named random streams."""
 
-    __slots__ = ("now", "random", "_queue", "_stopped", "_hooks", "tracing")
+    __slots__ = ("now", "random", "_queue", "_stopped", "_hooks", "topics")
 
     def __init__(self, seed: int = 0) -> None:
         self.now: Time = 0
@@ -39,10 +39,14 @@ class Simulator:
         self._queue = EventQueue()
         self._stopped = False
         self._hooks: Dict[str, List[Callable[..., None]]] = {}
-        #: True once any subscriber has registered.  Hot call sites
-        #: check this before building an emit payload so instrumentation
-        #: costs nothing when nobody is listening (the common case).
-        self.tracing = False
+        #: Live, read-only view of the topics with at least one
+        #: subscriber (the keys of ``_hooks``).  Hot call sites test
+        #: ``"<topic>" in sim.topics`` before building an emit payload,
+        #: so a site costs one set probe unless its own topic is
+        #: subscribed — a listener on one topic does not tax the
+        #: others.  :meth:`off` drops a topic's key with its last
+        #: subscriber, so the view needs no upkeep of its own.
+        self.topics: KeysView[str] = self._hooks.keys()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -218,19 +222,23 @@ class Simulator:
     # ------------------------------------------------------------------
     # Hooks: lightweight pub/sub used by the trace recorder and tests
     # ------------------------------------------------------------------
+    @property
+    def tracing(self) -> bool:
+        """True while any topic has a subscriber (see :attr:`topics`)."""
+        return bool(self._hooks)
+
     def on(self, topic: str, callback: Callable[..., None]) -> None:
         """Subscribe ``callback`` to ``topic`` (see :meth:`emit`)."""
         self._hooks.setdefault(topic, []).append(callback)
-        self.tracing = True
 
     def off(self, topic: str, callback: Callable[..., None]) -> None:
         """Remove one ``topic`` subscription added with :meth:`on`.
 
         Removing a callback that is not subscribed is a no-op, so
         teardown paths (e.g. :meth:`~repro.trace.TraceRecorder.detach`)
-        can run idempotently.  When the last subscriber across all
-        topics is gone, :attr:`tracing` drops back to ``False`` and the
-        hot call sites stop building emit payloads entirely.
+        can run idempotently.  When a topic's last subscriber is gone
+        the topic leaves :attr:`topics`, and the call sites gated on it
+        stop building emit payloads entirely.
         """
         hooks = self._hooks.get(topic)
         if hooks is None:
@@ -241,13 +249,9 @@ class Simulator:
             return
         if not hooks:
             del self._hooks[topic]
-        if not self._hooks:
-            self.tracing = False
 
     def emit(self, topic: str, **payload: Any) -> None:
         """Publish an instrumentation event to all ``topic`` subscribers."""
-        if not self.tracing:
-            return
         hooks = self._hooks.get(topic)
         if not hooks:
             return

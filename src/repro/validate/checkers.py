@@ -10,9 +10,11 @@ engine's instrumentation topics (``memory.plan``, ``pressure.state``,
 ``sched.switch``, ``video.frame``, …) and re-derives each invariant
 independently at every event boundary, plus on a periodic poll.
 
-The hooks ride on the engine's ``tracing`` flag: with no harness (the
-common case) every emit call is a single attribute check, so enabling
-validation in tests costs nothing in production runs.  Checker
+Every emit site is gated on its own topic (``"<topic>" in
+sim.topics``): with no harness (the common case) a site costs one set
+probe, and a harness pays only for the topics it subscribes.  None of
+them is ``sched.state`` or ``sched.wakeup``, so a validated session
+keeps the scheduler's idle-core wakeup fast path.  Checker
 callbacks are strictly read-only — attaching a harness never changes a
 session's trajectory, which ``tests/validate`` locks in by comparing
 result digests with and without one.

@@ -300,7 +300,7 @@ class RenderPipeline:
             self.stats.dropped_decode_late += 1
         else:
             self._in_flight += 1
-        if self.sim.tracing:
+        if "video.frame" in self.sim.topics:
             self.sim.emit(
                 "video.frame",
                 phase="decode",
@@ -349,7 +349,7 @@ class RenderPipeline:
         else:
             self.stats.frames_rendered += 1
             self.stats.render_times.append(to_seconds(self.sim.now))
-        if self.sim.tracing:
+        if "video.frame" in self.sim.topics:
             self.sim.emit(
                 "video.frame",
                 phase="render",
@@ -378,7 +378,7 @@ class RenderPipeline:
 
         for _ in range(to_skip):
             self._consume_frame(advance_stats_only=True)
-        if self.sim.tracing:
+        if "video.frame" in self.sim.topics:
             self.sim.emit(
                 "video.frame",
                 phase="skip",

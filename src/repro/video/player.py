@@ -417,7 +417,8 @@ class VideoPlayer:
         )
         self.result.lmkd_kills = self.manager.vmstat.lmkd_kills
         self.result.oom_kills = self.manager.vmstat.oom_kills
-        self.sim.emit("session.end", player=self)
+        if "session.end" in self.sim.topics:
+            self.sim.emit("session.end", player=self)
 
     @property
     def finished(self) -> bool:

@@ -29,6 +29,30 @@ def test_topic_near_miss_detected():
     assert "'sched.wakeup'" in found[0].message
 
 
+def test_emit_gate_on_another_topic_detected():
+    found = lint("repro/bus/bad_gate_mismatch.py", "REP202")
+    assert len(found) == 1
+    assert found[0].line == 10  # reported at the emit, not the gate
+    assert "'decode.drop' is gated on 'decode.done'" in found[0].message
+
+
+def test_emit_gate_on_unemitted_topic_detected():
+    found = lint("repro/bus/bad_gate_unknown.py", "REP202")
+    messages = sorted(f.message for f in found)
+    assert len(found) == 2  # the dead gate, and the emit it switches off
+    assert "tests 'decode.dnoe'" in messages[0]
+    assert "did you mean 'decode.done'?" in messages[0]
+    assert "'decode.done' is gated on 'decode.dnoe'" in messages[1]
+
+
+def test_emit_gates_on_their_own_topic_are_clean():
+    result = run_lint(
+        [FIXTURES / "repro/bus/good_gate.py"], root=FIXTURES,
+        use_baseline=False,
+    )
+    assert result.findings == []
+
+
 def test_dynamic_topics_detected():
     found = lint("contracts/bad_dynamic.py", "REP203")
     assert len(found) == 2

@@ -199,3 +199,21 @@ def test_emit_skips_work_with_no_subscribers():
     sim.emit("nobody.listens", value=1)  # must be a cheap no-op
     sim.on("topic", lambda time: None)
     assert sim.tracing is True
+
+
+def test_topics_tracks_subscribed_topics_live():
+    sim = Simulator()
+    topics = sim.topics
+    assert "a" not in topics
+    first = lambda time: None  # noqa: E731
+    second = lambda time: None  # noqa: E731
+    sim.on("a", first)
+    sim.on("a", second)
+    sim.on("b", first)
+    assert set(topics) == {"a", "b"}  # the same view, kept current
+    sim.off("a", first)
+    assert "a" in topics  # one "a" subscriber is left
+    sim.off("a", second)
+    assert set(topics) == {"b"}
+    sim.off("b", first)
+    assert not topics and not sim.tracing
