@@ -36,7 +36,6 @@ from typing import Any, Dict, Optional
 from .core.abr import MemoryAwareAbr
 from .core.qoe import summarize
 from .core.session import DEVICE_FACTORIES
-from .experiments import study_experiments
 from .experiments.checkpoint import SweepJournal, default_journal_path
 from .experiments.parallel import (
     FabricReport,
@@ -270,33 +269,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    if args.devices is not None:
-        return _cmd_study_fleet(args)
-    devices = study_experiments.build_study(
-        scale=args.scale, seed=args.seed, jobs=args.jobs
-    )
-    summary = study_experiments.table1_summary(devices)
-    transitions = study_experiments.fig6_transitions(devices)
-    if args.json:
-        print(json.dumps({"summary": summary, "transitions": transitions},
-                         indent=2))
-        return 0
-    print(f"devices kept: {len(devices)}")
-    for key, value in summary.items():
-        print(f"  {key:36s} {value:6.3f}")
-    for state, row in transitions.items():
-        nexts = "  ".join(f"->{k}:{v:5.1f}%" for k, v in row["next"].items())
-        print(f"  {state:9s} {nexts}")
-    return 0
+    """The §3 population study on the vectorized cohort fleet engine.
 
-
-def _cmd_study_fleet(args: argparse.Namespace) -> int:
-    """``--devices N``: the vectorized cohort fleet engine.
-
-    Same §3 outputs as the legacy path (Table 1 summary + Figure 6
-    transitions), computed from streaming mergeable sketches — memory
-    stays O(cohorts), cohort shards checkpoint to a journal, and an
-    interrupted run resumes with ``--resume`` exactly like sweeps.
+    Table 1 summary + Figure 6 transitions, computed from streaming
+    mergeable sketches — memory stays O(cohorts), cohort shards
+    checkpoint to a journal, and an interrupted run resumes with
+    ``--resume`` exactly like sweeps.
     """
     from pathlib import Path
 
@@ -307,12 +285,16 @@ def _cmd_study_fleet(args: argparse.Namespace) -> int:
         run_fleet,
     )
 
-    config = FleetConfig(
-        n_devices=args.devices,
-        hours_scale=args.scale,
-        seed=args.seed,
-        cohort_size=args.cohort_size,
-    )
+    try:
+        config = FleetConfig(
+            n_devices=args.devices,
+            hours_scale=args.scale,
+            seed=args.seed,
+            cohort_size=args.cohort_size,
+        )
+    except ValueError as exc:
+        print(f"study: {exc}", file=sys.stderr)
+        return 2
     journal = None
     if not args.no_journal:
         path = args.journal or default_fleet_journal_path(config)
@@ -767,13 +749,11 @@ def build_parser() -> argparse.ArgumentParser:
     study_p.add_argument("--scale", type=float, default=0.15)
     study_p.add_argument("--seed", type=int, default=3)
     study_p.add_argument("--jobs", type=int, default=1,
-                         help="generate devices on N worker processes "
+                         help="simulate cohorts on N worker processes "
                               "(0 = all cores)")
-    study_p.add_argument("--devices", type=int, default=None,
-                         help="population size for the vectorized fleet "
-                              "engine (cohort batch kernel + mergeable "
-                              "sketches; omit for the legacy 80-user "
-                              "per-device path)")
+    study_p.add_argument("--devices", type=int, default=80,
+                         help="population size (default: the paper's 80 "
+                              "users)")
     study_p.add_argument("--cohort-size", type=int, default=0,
                          help="devices per cohort shard (0 = auto-sized "
                               "from the observation length)")

@@ -1,7 +1,7 @@
 """§3 user-study experiments: Figures 1-6 and the Table 1 roll-up.
 
-Wraps the population generator and analysis pipeline into one function
-per paper artefact.  ``scale`` shrinks observation lengths (and the
+Wraps the fleet population engine and analysis pipeline into one
+function per paper artefact.  ``scale`` shrinks observation lengths (and the
 10-hour cleaning threshold proportionally) so benches can trade a few
 percent of statistical stability for speed; ``scale=1.0`` reproduces
 the full ~9950-hour study.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..study import analysis
-from ..study.generator import PopulationConfig, generate_population
+from ..study.cohort import FleetConfig
 from ..study.signalcapturer import DeviceLog
 from ..study.survey import DmosSurvey, UsageSurvey, run_dmos_survey, run_usage_survey
 
@@ -25,13 +25,19 @@ def build_study(
 ) -> List[DeviceLog]:
     """Generate the population and apply the paper's cleaning step.
 
-    ``jobs`` parallelizes device generation (see
-    :func:`repro.study.generator.generate_population`).
+    ``jobs`` fans cohorts out over worker processes (see
+    :func:`repro.study.fleet.run_fleet`).
     """
-    population = generate_population(
-        PopulationConfig(n_users=n_users, hours_scale=scale, seed=seed),
+    # Imported here: repro.study.fleet imports repro.experiments, whose
+    # package __init__ imports this module.
+    from ..study.fleet import run_fleet
+
+    population = run_fleet(
+        FleetConfig(n_devices=n_users, hours_scale=scale, seed=seed),
         jobs=jobs,
-    )
+        keep_logs=True,
+    ).logs
+    assert population is not None  # keep_logs=True always materializes
     return analysis.clean(population, min_interactive_hours=10.0 * scale)
 
 

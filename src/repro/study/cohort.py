@@ -1,24 +1,28 @@
-"""Vectorized cohort kernel for the fleet population engine (§3 at scale).
+"""Vectorized cohort kernel: the §3 population engine.
 
-The v1 generator (:mod:`repro.study.generator`) walks one device at a
-time and keeps every per-second array in RAM — fine for the paper's 80
-users, the dominant cost at population scale.  This module simulates a
-whole *cohort* of devices as 2-D numpy operations (devices × seconds)
-and reduces each cohort to a small mergeable :class:`FleetSummary`
-(counters + t-digests, see :mod:`repro.study.sketches`), so fleet
-memory is O(cohorts), not O(devices).
+The paper recruited 80 users and logged ~9950 hours of 1 Hz memory
+samples with SignalCapturer.  Without those users, we generate a
+population whose *mechanisms* follow §2/§3 — RAM market mix (1-8 GB,
+12 manufacturers), vendor- and RAM-dependent Moderate/Low/Critical
+thresholds, a two-timescale AR(1) memory walk (app sessions plus
+allocation churn), 6 s dwell debounce, OnTrimMemory emission with
+120 s re-notification, day/night interactive sessions, ≥10 h cleaning
+— and run the paper's own analysis pipeline on the logs.
 
-Model (v2, cohort-seeded).  The fleet model keeps every §3 mechanism of
-the v1 generator — RAM market mix, vendor thresholds, two-timescale
-AR(1) memory walk, 6 s dwell debounce, OnTrimMemory emission with 120 s
-re-notification, day/night interactive sessions, ≥10 h cleaning — but
-draws randomness from *per-cohort* named streams
-(``study.fleet<c>.{scalars,mask,noise,services}``) instead of
-per-device streams, and makes two vectorization-friendly substitutions:
+This module simulates a whole *cohort* of devices as 2-D numpy
+operations (devices × seconds) and reduces each cohort to a small
+mergeable :class:`FleetSummary` (counters + t-digests, see
+:mod:`repro.study.sketches`), so fleet memory is O(cohorts), not
+O(devices); small populations can also carry their per-device logs
+home (:func:`repro.study.fleet.run_fleet` with ``keep_logs``).
 
-* AR(1) innovations are uniform draws scaled by ``σ·sqrt(12)`` (same
-  variance; the AR filter Gaussianizes them within a few time
-  constants), in float32;
+Model (v2, cohort-seeded).  Randomness comes from *per-cohort* named
+streams (``study.fleet<c>.{scalars,mask,noise,services}``), with two
+vectorization-friendly choices:
+
+* AR(1) innovations are uniform draws scaled by ``σ·sqrt(12)`` (the
+  variance of a Gaussian-innovation AR(1); the AR filter Gaussianizes
+  them within a few time constants), in float32;
 * the slow (session-scale, θ=1/420) component advances on a 60 s tick
   with variance-matched innovations and is upsampled by repetition; the
   fast (churn, θ=1/8) component stays at full 1 Hz rate.
@@ -27,11 +31,12 @@ Because cohort streams are derived from the master seed by *name*, any
 shard count partitions the same cohort sequence and reproduces the
 single-process result bit for bit.
 
-Every cohort statistic is computed exactly as v1's analysis functions
-compute it (same float widths, same division orders), and
-:func:`reference_cohort_logs` materializes the same cohort through the
-v1 per-device code path (`_debounce`, `_emit_signals`, scalar
-interactive walk) as the oracle the batch kernels are tested against.
+Every cohort statistic is computed exactly as the analysis functions
+of :mod:`repro.study.analysis` compute it (same float widths, same
+division orders), and :func:`reference_cohort_logs` materializes the
+same cohort device by device (scalar :func:`_debounce`,
+:func:`_emit_signals` and interactive walk) as the one per-device
+oracle the batch kernels are tested against.
 """
 
 from __future__ import annotations
@@ -45,14 +50,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..sim.rng import RandomStreams
-from .generator import (
-    MANUFACTURERS,
-    RAM_CHOICES_GB,
-    RAM_WEIGHTS,
-    REEMIT_PERIOD_S,
-    _debounce,
-    _emit_signals,
-)
 from .signalcapturer import (
     CAPTURER_FOOTPRINT_MB,
     STATE_CODES,
@@ -85,19 +82,33 @@ __all__ = [
     "signal_counts_from_runs",
 ]
 
-#: v1's long-run mean utilization by device RAM class (generator.py).
+MANUFACTURERS = [
+    "Samsung", "Xiaomi", "Huawei", "Oppo", "Vivo", "Nokia",
+    "Motorola", "Realme", "Tecno", "Infinix", "OnePlus", "Google",
+]
+
+#: Market mix of device RAM sizes (GB) — §3: "1 GB to 8 GB".
+RAM_CHOICES_GB = np.array([1, 2, 3, 4, 6, 8])
+RAM_WEIGHTS = np.array([0.16, 0.26, 0.24, 0.19, 0.10, 0.05])
+
+#: Re-emission period for sustained non-normal states (seconds).
+REEMIT_PERIOD_S = 120.0
+
+#: Long-run mean utilization by device RAM class: smaller devices run
+#: proportionally fuller (the OS floor dominates), matching Figure 2's
+#: CDF where 80% of devices sit at >= 60% median utilization.
 BASE_UTIL_BY_RAM_GB = {1: 0.78, 2: 0.72, 3: 0.68, 4: 0.63, 6: 0.56, 8: 0.50}
 
-#: Debounce window (s) — matches generator.generate_device_log.
+#: Debounce window (s).
 MIN_DWELL_S = 6
-#: Integer re-emission period; ``(len-1)//120`` on int64 equals v1's
-#: ``int((len-1)//120.0)`` for any realistic run length (the float
-#: quotient is exact to well past 2**40).
+#: Integer re-emission period; ``(len-1)//120`` on int64 equals
+#: :func:`_emit_signals`'s ``int((len-1)//120.0)`` for any realistic
+#: run length (the float quotient is exact to well past 2**40).
 REEMIT_S = int(REEMIT_PERIOD_S)
 #: Paper's Figure 6 selection threshold (fraction of time non-Normal).
 MIN_NONNORMAL_FRACTION = 0.3
 
-#: Slow/fast/service AR(1) parameters (θ, σ) — from the v1 generator.
+#: Slow/fast/service AR(1) parameters (θ, σ).
 SLOW_THETA, SLOW_SIGMA = 1.0 / 420.0, 0.0055
 FAST_THETA, FAST_SIGMA = 1.0 / 8.0, 0.008
 SERVICE_THETA, SERVICE_SIGMA = 1.0 / 600.0, 0.35
@@ -131,7 +142,7 @@ SERVICE_COEFF60, SERVICE_SIGMA60 = _minute_ar_params(
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Knobs for the fleet simulator (superset of PopulationConfig)."""
+    """Knobs for the fleet simulator."""
 
     n_devices: int = 80
     mean_hours: float = 124.0
@@ -147,6 +158,18 @@ class FleetConfig:
     min_interactive_hours: Optional[float] = None
     #: t-digest compression for the sketched distributions.
     compression: int = 100
+
+    def __post_init__(self) -> None:
+        if self.n_devices < 1:
+            raise ValueError(f"n_devices must be >= 1, got {self.n_devices}")
+        if not self.hours_scale > 0:
+            raise ValueError(
+                f"hours_scale must be > 0, got {self.hours_scale}"
+            )
+        if self.cohort_size < 0:
+            raise ValueError(
+                f"cohort_size must be >= 0, got {self.cohort_size}"
+            )
 
     def cleaning_threshold_hours(self) -> float:
         if self.min_interactive_hours is not None:
@@ -167,8 +190,7 @@ def cohort_size(config: FleetConfig) -> int:
 
 
 def n_cohorts(config: FleetConfig) -> int:
-    size = cohort_size(config)
-    return -(-config.n_devices // size) if config.n_devices > 0 else 0
+    return -(-config.n_devices // cohort_size(config))
 
 
 # ======================================================================
@@ -254,9 +276,8 @@ def _cohort_draws(
 def ar1_batch(noise: np.ndarray, coeff: float) -> np.ndarray:
     """``y[t] = coeff·y[t-1] + noise[t]`` along the last axis.
 
-    The batched counterpart of ``generator._ar1`` (which takes
-    ``theta = 1 - coeff`` and draws its own noise): one C-level lfilter
-    recursion per row, any leading batch shape, dtype preserved.
+    One C-level lfilter recursion per row, any leading batch shape,
+    dtype preserved.
     """
     from scipy.signal import lfilter
 
@@ -292,7 +313,7 @@ def _available_series(
     scaled by ``-total_mb`` (symmetric innovations, so the sign flip is
     distribution-preserving), the long-run level
     ``total·(1-mean_util) - 17`` is folded into the slow component
-    before upsampling, and v1's utilization clip [0.12, 0.995] plus
+    before upsampling, and the utilization clip [0.12, 0.995] plus
     availability floor ``0.005·total`` collapse to one availability
     clip ``[0.005·total, 0.88·total - 17]``.
 
@@ -324,7 +345,7 @@ def _classify_states(
     """Pressure-state codes from available memory (int8).
 
     Thresholds satisfy critical < low < moderate by construction, so
-    summing the three comparisons reproduces v1's three masked stores.
+    summing the three comparisons gives the deepest state crossed.
     """
     state = (avail < moderate).view(np.uint8)
     state += (avail < low).view(np.uint8)
@@ -365,7 +386,7 @@ class SegmentTable:
 def _interactive_segments(
     n: np.ndarray, phase: np.ndarray, g: np.random.Generator
 ) -> SegmentTable:
-    """v1's day/night alternation walk, advanced for all devices at once.
+    """The day/night alternation walk, advanced for all devices at once.
 
     Each step draws one uniform and one exponential *per device* (also
     for devices already finished — column alignment is what lets the
@@ -406,7 +427,7 @@ def _interactive_segments(
 def _interactive_mask_reference(
     n_i: int, phase_i: float, u_row: np.ndarray, e_row: np.ndarray
 ) -> np.ndarray:
-    """v1's scalar ``_interactive_mask`` walk, replaying pre-drawn
+    """The scalar day/night interactive walk, replaying pre-drawn
     (uniform, exponential) pairs — the oracle for the batched chain."""
     mask = np.zeros(n_i, dtype=bool)
     t = 0
@@ -475,15 +496,16 @@ def debounce_flat(
     offsets: np.ndarray,
     min_dwell_s: int = MIN_DWELL_S,
 ) -> Tuple[np.ndarray, FlatRuns]:
-    """Batched ``generator._debounce`` over concatenated state series.
+    """Batched :func:`_debounce` over concatenated state series.
 
     Runs shorter than ``min_dwell_s`` (except each device's first run)
     are absorbed into the most recent *kept* run's original value —
-    exactly v1's semantics, vectorized: keep-flags, a running maximum
-    over kept run indices, then re-merging adjacent equal runs.
+    exactly :func:`_debounce`'s semantics, vectorized: keep-flags, a
+    running maximum over kept run indices, then re-merging adjacent
+    equal runs.
 
     Returns the debounced flat series plus its merged runs (the same
-    runs v1's ``_emit_signals`` would see), saving a second RLE pass.
+    runs :func:`_emit_signals` would see), saving a second RLE pass.
     """
     runs = _runs_flat(state_flat, offsets)
     if len(runs.starts) == 0:
@@ -511,7 +533,7 @@ def debounce_flat(
 def signal_counts_from_runs(
     runs: FlatRuns, count: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched ``generator._emit_signals`` bookkeeping.
+    """Batched :func:`_emit_signals` bookkeeping.
 
     From the debounced merged runs, per run: an *entry* signal iff the
     state is non-Normal and strictly above the previous run's state
@@ -549,7 +571,7 @@ def _signal_events(
     """Materialize per-device signal event lists (for log export).
 
     Returns (sig_offsets (C+1,), times, codes) where times are seconds
-    relative to each device's log start, in v1's emission order.
+    relative to each device's log start, in :func:`_emit_signals` order.
     """
     per_run = entry.astype(np.int64) + reemit
     total = int(per_run.sum())
@@ -582,8 +604,9 @@ def _flatten_rows(
 
 
 def _median_utilization(avail: np.ndarray, total_mb: int) -> float:
-    """v1's per-device median utilization: float32 division and median
-    (``DeviceLog.utilization`` then ``np.median``), cast to float last."""
+    """Per-device median utilization as the analysis computes it:
+    float32 division and median (``DeviceLog.utilization`` then
+    ``np.median``), cast to float last."""
     util = 1.0 - avail / total_mb
     return float(np.median(util))
 
@@ -716,7 +739,7 @@ class FleetSummary:
 
         def mean_frac(count: int) -> float:
             # (bool_array).mean() divides by the *unclamped* device
-            # count; empty-population gives nan just as v1 does.
+            # count; empty-population gives nan just as analysis does.
             return count / kept if kept else float("nan")
 
         return {
@@ -737,7 +760,7 @@ class FleetSummary:
     ) -> Tuple[Dict[int, Dict[int, int]], Dict[int, Dict[int, int]]]:
         if self.sel_devices > 0:
             return self.sel_next_counts, self.sel_dwells
-        # Fallback: top devices by pressure fraction (v1's
+        # Fallback: top devices by pressure fraction (analysis
         # top_pressure_devices, count=min(9, kept)).
         chosen = self.candidates[: min(9, self.n_kept)]
         next_counts: Dict[int, Dict[int, int]] = {}
@@ -932,7 +955,8 @@ def simulate_cohort(
         minlength=4 * count,
     ).reshape(count, 4).astype(np.int64)
 
-    # Cleaning (v1: interactive_hours >= threshold and any interactive).
+    # Cleaning (analysis.clean: interactive_hours >= threshold and any
+    # interactive).
     threshold = config.cleaning_threshold_hours()
     hours_int = int_count / 3600.0
     kept = (hours_int >= threshold) & (int_count > 0)
@@ -998,7 +1022,7 @@ def _summarize_cohort(
     kept_idx = np.flatnonzero(kept)
     n_kept = int(len(kept_idx))
 
-    # Per-device median utilization (float32 math, like v1).
+    # Per-device median utilization (float32 math, like analysis).
     medians = np.array([
         _median_utilization(
             avail_int[int(int_offsets[d]):int(int_offsets[d + 1])],
@@ -1007,7 +1031,7 @@ def _summarize_cohort(
         for d in kept_idx
     ])
 
-    # Signal rates: counts over *cleaned* hours (v1 normalizes by the
+    # Signal rates: counts over *cleaned* hours (analysis normalizes by the
     # cleaned log's hours_logged = interactive seconds / 3600).
     hours = np.maximum(hours_int[kept_idx], 1e-9)
     r_mod = sig_counts[kept_idx, 1] / hours
@@ -1152,13 +1176,57 @@ def _summarize_cohort(
 # Reference oracle and log materialization
 # ======================================================================
 
+def _debounce(state: np.ndarray, min_dwell_s: int) -> np.ndarray:
+    """Suppress state runs shorter than ``min_dwell_s`` seconds.
+
+    The ActivityManager does not flip OnTrimMemory levels on every 1 s
+    fluctuation; short excursions are absorbed into the previous state,
+    which both rate-limits signals and produces the multi-second dwell
+    times of Figure 6.
+    """
+    if len(state) == 0:
+        return state
+    result = state.copy()
+    changes = np.flatnonzero(np.diff(result) != 0) + 1
+    boundaries = np.concatenate(([0], changes, [len(result)]))
+    current = int(result[0])
+    for start, end in zip(boundaries[:-1], boundaries[1:]):
+        if end - start < min_dwell_s and start > 0:
+            result[start:end] = current
+        else:
+            current = int(result[start])
+    return result
+
+
+def _emit_signals(state: np.ndarray) -> List[Tuple[int, int]]:
+    """OnTrimMemory emissions: one on each entry into a non-normal
+    state, plus one every REEMIT_PERIOD_S while the state persists."""
+    signals: List[Tuple[int, int]] = []
+    entries = np.flatnonzero(np.diff(state) != 0) + 1
+    boundaries = np.concatenate(([0], entries, [len(state)]))
+    previous = STATE_CODES["normal"]
+    for start, end in zip(boundaries[:-1], boundaries[1:]):
+        code = int(state[start])
+        if code != STATE_CODES["normal"]:
+            # onTrimMemory fires when the trim level *rises*; a falling
+            # level is not signalled (the app simply stops being asked
+            # to trim), but a sustained state re-notifies periodically.
+            if code > previous:
+                signals.append((int(start), code))
+            extra = int((end - start - 1) // REEMIT_PERIOD_S)
+            for k in range(1, extra + 1):
+                signals.append((int(start + k * REEMIT_PERIOD_S), code))
+        previous = code
+    return signals
+
+
 def reference_cohort_logs(
     cohort_index: int, config: FleetConfig
 ) -> List[DeviceLog]:
-    """Materialize one cohort *device by device* through the v1 code
-    path: the same cohort draws, but scalar `_debounce`,
-    `_emit_signals`, and the scalar interactive walk — the oracle the
-    batched kernels must match bit for bit."""
+    """Materialize one cohort *device by device*: the same cohort
+    draws, but scalar :func:`_debounce`, :func:`_emit_signals`, and the
+    scalar interactive walk — the oracle the batched kernels must match
+    bit for bit."""
     size = cohort_size(config)
     start = cohort_index * size
     count = min(size, config.n_devices - start)

@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.study import analysis as A
-from repro.study.generator import PopulationConfig, generate_population
+from repro.study.cohort import FleetConfig
+from repro.study.fleet import run_fleet
 from repro.study.signalcapturer import STATE_CODES, DeviceInfo, DeviceLog
 
 
@@ -22,11 +23,13 @@ def synthetic_log(states, available=None, signals=(), total_mb=1024):
     )
 
 
+def fleet_logs(scale=0.05, users=16, seed=5):
+    config = FleetConfig(n_devices=users, hours_scale=scale, seed=seed)
+    return run_fleet(config, keep_logs=True).logs
+
+
 def population(scale=0.05, users=16, seed=5):
-    return A.clean(
-        generate_population(PopulationConfig(n_users=users, hours_scale=scale, seed=seed)),
-        min_interactive_hours=0.25,
-    )
+    return A.clean(fleet_logs(scale, users, seed), min_interactive_hours=0.25)
 
 
 def test_utilization_cdf_monotone():
@@ -91,6 +94,19 @@ def test_available_memory_by_state_summary():
     assert summary["critical"]["mean"] == 45.0
     assert summary["normal"]["mean"] == 490.0
     assert "moderate" not in summary
+
+
+def test_clean_threshold_extremes():
+    logs = fleet_logs(users=6, seed=7)
+    assert A.clean(logs, min_interactive_hours=1e9) == []
+    # A zero threshold still drops devices with no interactive sample
+    # (seed 7 draws one night-only log).
+    kept_all = A.clean(logs, min_interactive_hours=0.0)
+    with_samples = [log for log in logs if log.interactive.any()]
+    assert 0 < len(with_samples) < len(logs)
+    assert len(kept_all) == len(with_samples)
+    for log in kept_all:
+        assert log.interactive.all()
 
 
 def test_study_summary_keys_and_ranges():

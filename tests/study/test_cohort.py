@@ -1,12 +1,12 @@
 """Batch-kernel vs per-device-oracle equivalence.
 
-The cohort engine's contract is *bitwise* agreement with the v1
-per-device path (`generator._debounce`, `generator._emit_signals`, the
-scalar AR(1) walk): each kernel is checked against its scalar oracle on
-random inputs, then the full pipeline is checked end to end — the
-columnar logs of ``simulate_cohort`` must equal the logs produced by
-``reference_cohort_logs`` (which replays v1's exact per-device code on
-the same named streams).
+The cohort engine's contract is *bitwise* agreement with its scalar
+per-device oracle (`_debounce`, `_emit_signals`, the scalar AR(1) and
+interactive walks): each kernel is checked against its scalar
+counterpart on random inputs, then the full pipeline is checked end to
+end — the columnar logs of ``simulate_cohort`` must equal the logs
+produced by ``reference_cohort_logs`` (which walks the same named
+streams one device at a time).
 """
 
 import numpy as np
@@ -15,6 +15,8 @@ from scipy.signal import lfilter
 
 from repro.study.cohort import (
     FleetConfig,
+    _debounce,
+    _emit_signals,
     ar1_batch,
     cohort_size,
     columns_to_logs,
@@ -25,7 +27,6 @@ from repro.study.cohort import (
     signal_counts_from_runs,
     simulate_cohort,
 )
-from repro.study.generator import _debounce, _emit_signals
 
 CFG = FleetConfig(n_devices=12, hours_scale=0.02, seed=7, cohort_size=5)
 
@@ -93,9 +94,26 @@ def test_signal_counts_match_v1_emit_signals(seed):
         assert np.array_equal(counts[dev], expected), f"device {dev}"
 
 
+def test_debounce_removes_short_runs():
+    state = np.array([0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0], dtype=np.int8)
+    out = _debounce(state, min_dwell_s=3)
+    # The single-sample run at index 2 is absorbed; the long run stays.
+    assert out[2] == 0
+    assert (out[6:13] == 1).all()
+
+
+def test_debounce_preserves_length_and_first_state():
+    rng = np.random.default_rng(3)
+    state = rng.integers(0, 4, size=500).astype(np.int8)
+    out = _debounce(state, min_dwell_s=5)
+    assert len(out) == 500
+    assert out[0] == state[0]
+
+
 def test_debounce_keeps_first_short_run():
-    # v1 keeps a device's first run even when it is shorter than the
-    # dwell floor (start > 0 guard); the batch kernel must too.
+    # The scalar oracle keeps a device's first run even when it is
+    # shorter than the dwell floor (start > 0 guard); the batch kernel
+    # must too.
     flat = np.array([2, 2, 0, 0, 0, 0, 0, 0], dtype=np.int8)
     offsets = np.array([0, 8], dtype=np.int64)
     debounced, _ = debounce_flat(flat, offsets, min_dwell_s=6)

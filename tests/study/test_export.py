@@ -9,13 +9,20 @@ from repro.study.export import (
     save_device_log,
     save_population,
 )
-from repro.study.generator import PopulationConfig, generate_population
+from repro.study.cohort import FleetConfig
+from repro.study.fleet import run_fleet
 
-SMALL = PopulationConfig(n_users=3, hours_scale=0.02, seed=4)
+#: Seed 2 gives all three devices interactive samples, so the cleaned
+#: population that feeds the analysis keeps every device.
+SMALL = FleetConfig(n_devices=3, hours_scale=0.02, seed=2)
+
+
+def small_population():
+    return run_fleet(SMALL, keep_logs=True).logs
 
 
 def test_round_trip_exact(tmp_path):
-    log = generate_population(SMALL)[0]
+    log = small_population()[0]
     path = save_device_log(log, tmp_path / "dev.jsonl.gz")
     loaded = load_device_log(path)
     assert loaded.info == log.info
@@ -27,7 +34,7 @@ def test_round_trip_exact(tmp_path):
 
 
 def test_stride_downsamples_but_keeps_signals(tmp_path):
-    log = generate_population(SMALL)[0]
+    log = small_population()[0]
     path = save_device_log(log, tmp_path / "dev.jsonl.gz", sample_stride=10)
     loaded = load_device_log(path)
     assert len(loaded.timestamps) == (len(log.timestamps) + 9) // 10
@@ -35,13 +42,13 @@ def test_stride_downsamples_but_keeps_signals(tmp_path):
 
 
 def test_invalid_stride_rejected(tmp_path):
-    log = generate_population(SMALL)[0]
+    log = small_population()[0]
     with pytest.raises(ValueError):
         save_device_log(log, tmp_path / "x.jsonl.gz", sample_stride=0)
 
 
 def test_population_round_trip(tmp_path):
-    population = generate_population(SMALL)
+    population = small_population()
     paths = save_population(population, tmp_path / "logs")
     assert len(paths) == 3
     loaded = load_population(tmp_path / "logs")
@@ -53,7 +60,7 @@ def test_population_round_trip(tmp_path):
 def test_loaded_logs_feed_analysis(tmp_path):
     from repro.study import analysis
 
-    population = generate_population(SMALL)
+    population = small_population()
     save_population(population, tmp_path / "logs")
     loaded = load_population(tmp_path / "logs")
     summary = analysis.study_summary(

@@ -2,7 +2,7 @@
 
 The headline guarantee: the merged §3 summary is bit-identical for any
 shard grouping (cohort partition fixed, any worker count, any merge
-order) and matches the v1 analysis pipeline applied to the per-device
+order) and matches the analysis pipeline applied to the per-device
 reference oracle exactly — same floats, not approximately.
 """
 
@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.experiments.parallel import CACHE_DIR_ENV
 from repro.study import analysis
 from repro.study.cohort import (
     FleetConfig,
@@ -86,7 +87,7 @@ def test_summary_bit_identical_across_merge_groupings():
 
 
 # ----------------------------------------------------------------------
-# Exactness vs the v1 analysis pipeline
+# Exactness vs the analysis pipeline (repro.study.analysis)
 # ----------------------------------------------------------------------
 
 def test_table1_matches_v1_analysis_exactly():
@@ -331,7 +332,15 @@ def test_cli_study_export(tmp_path, capsys):
     assert len(exported_cohort_paths(export_dir)) == n_cohorts(CFG)
 
 
-def test_cli_study_legacy_path_unchanged(capsys):
+def test_cli_study_legacy_path_unchanged(tmp_path, monkeypatch, capsys):
+    # Without --devices the study runs the paper's 80 devices, with the
+    # default journal under the cache directory.
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     assert main(["study", "--scale", "0.02", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "devices kept:" in out
+    assert "(of 80)" in out
+    assert "frac_median_util_ge_60" in out
+    assert "critical  ->" in out
+    assert "fabric: computed" in out
+    assert list((tmp_path / "journals").glob("fleet-*.journal"))

@@ -1,40 +1,43 @@
-"""Tests for the synthetic user-study population."""
+"""Tests for the synthetic user-study population (fleet-engine logs)."""
 
 import numpy as np
-import pytest
 
-from repro.sim.rng import RandomStreams
-from repro.study.generator import (
-    PopulationConfig,
-    _debounce,
-    generate_device_log,
-    generate_population,
-)
+from repro.study.cohort import FleetConfig, reference_fleet_logs
+from repro.study.fleet import run_fleet
 from repro.study.signalcapturer import STATE_CODES
 
 
-SMALL = PopulationConfig(n_users=6, hours_scale=0.05, seed=7)
+SMALL = FleetConfig(n_devices=6, hours_scale=0.05, seed=7)
+
+
+def fleet_population(config=SMALL):
+    return run_fleet(config, keep_logs=True).logs
 
 
 def test_population_size_and_determinism():
-    a = generate_population(SMALL)
-    b = generate_population(SMALL)
+    a = fleet_population()
+    b = fleet_population()
     assert len(a) == 6
     assert a[0].info.total_mb == b[0].info.total_mb
     assert np.array_equal(a[0].available_mb, b[0].available_mb)
+    # The batch engine and the per-device oracle draw the same population.
+    ref = reference_fleet_logs(SMALL)
+    assert [log.info for log in ref] == [log.info for log in a]
+    assert np.array_equal(ref[0].available_mb, a[0].available_mb)
 
 
 def test_device_log_shapes_consistent():
-    log = generate_device_log(0, SMALL, RandomStreams(SMALL.seed))
-    n = len(log.timestamps)
-    assert len(log.available_mb) == n
-    assert len(log.state) == n
-    assert len(log.interactive) == n
-    assert log.hours_logged > 0
+    for log in fleet_population():
+        n = len(log.timestamps)
+        assert len(log.available_mb) == n
+        assert len(log.state) == n
+        assert len(log.interactive) == n
+        assert len(log.n_services) == n
+        assert log.hours_logged > 0
 
 
 def test_available_memory_within_bounds():
-    for log in generate_population(SMALL):
+    for log in fleet_population():
         assert (log.available_mb > 0).all()
         assert (log.available_mb < log.info.total_mb).all()
 
@@ -43,57 +46,31 @@ def test_states_match_available_ordering():
     """Critical samples have lower available memory than Normal ones
     (Figure 5's ordering), modulo debouncing."""
     merged_normal, merged_critical = [], []
-    for log in generate_population(PopulationConfig(n_users=12, hours_scale=0.05, seed=2)):
+    for log in fleet_population(FleetConfig(n_devices=12, hours_scale=0.05, seed=2)):
         normal = log.available_mb[log.state == STATE_CODES["normal"]]
         critical = log.available_mb[log.state == STATE_CODES["critical"]]
         if len(normal) and len(critical):
             merged_normal.append(float(normal.mean()))
             merged_critical.append(float(critical.mean()))
-    if merged_normal:
-        assert np.mean(merged_critical) < np.mean(merged_normal)
+    assert merged_normal
+    assert np.mean(merged_critical) < np.mean(merged_normal)
 
 
 def test_signals_only_nonnormal():
-    for log in generate_population(SMALL):
+    population = fleet_population()
+    assert any(log.signals for log in population)
+    for log in population:
         for _, code in log.signals:
             assert code != STATE_CODES["normal"]
 
 
 def test_signal_times_within_log():
-    for log in generate_population(SMALL):
+    for log in fleet_population():
         for t, _ in log.signals:
             assert 0 <= t < len(log.timestamps)
 
 
-def test_debounce_removes_short_runs():
-    state = np.array([0, 0, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0], dtype=np.int8)
-    out = _debounce(state, min_dwell_s=3)
-    # The single-sample run at index 2 is absorbed; the long run stays.
-    assert out[2] == 0
-    assert (out[6:13] == 1).all()
-
-
-def test_debounce_preserves_length_and_first_state():
-    rng = np.random.default_rng(3)
-    state = rng.integers(0, 4, size=500).astype(np.int8)
-    out = _debounce(state, min_dwell_s=5)
-    assert len(out) == 500
-    assert out[0] == state[0]
-
-
-def test_interactive_cleaning_threshold():
-    from repro.study.analysis import clean
-
-    population = generate_population(SMALL)
-    kept = clean(population, min_interactive_hours=1e9)
-    assert kept == []
-    kept_all = clean(population, min_interactive_hours=0.0)
-    assert len(kept_all) == len(population)
-    for log in kept_all:
-        assert log.interactive.all()
-
-
 def test_utilization_definition():
-    log = generate_device_log(1, SMALL, RandomStreams(SMALL.seed))
-    util = log.utilization()
-    assert ((util > 0) & (util < 1)).all()
+    for log in fleet_population():
+        util = log.utilization()
+        assert ((util > 0) & (util < 1)).all()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.parallel import CACHE_DIR_ENV
 
 
 def test_parser_rejects_unknown_device():
@@ -56,12 +57,29 @@ def test_sweep_command_json(capsys):
     assert rows[0]["crash_rate"] == 0.0
 
 
-def test_study_command(capsys):
+def test_study_command(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
     code = main(["study", "--scale", "0.02", "--seed", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "devices kept" in out
     assert "frac_median_util_ge_60" in out
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--devices", "-5"], "n_devices must be >= 1"),
+    (["--devices", "0"], "n_devices must be >= 1"),
+    (["--scale", "0"], "hours_scale must be > 0"),
+    (["--scale", "-1"], "hours_scale must be > 0"),
+    (["--cohort-size", "-3"], "cohort_size must be >= 0"),
+], ids=["devices-neg", "devices-zero", "scale-zero", "scale-neg",
+        "cohort-size-neg"])
+def test_study_rejects_invalid_input(flags, message, capsys):
+    assert main(["study", "--no-journal", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("study: ")
+    assert message in captured.err
 
 
 def test_trace_command_json(capsys):
