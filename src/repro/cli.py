@@ -450,8 +450,8 @@ def cmd_trace_ls(args: argparse.Namespace) -> int:
             "fps": trace.meta.get("fps", 0),
             "seed": trace.meta.get("seed", -1),
             "span_s": round(to_seconds(trace.end_time - trace.start_time), 3),
-            "threads": len(trace.transitions),
-            "transitions": sum(len(t) for t in trace.transitions.values()),
+            "threads": trace.thread_count,
+            "transitions": trace.transition_count,
         })
     if args.json:
         print(json.dumps(rows, indent=2))

@@ -19,11 +19,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from ..sched.states import ThreadState
 from ..sim.clock import Time, seconds, to_seconds
-from .view import TraceView
+from .view import STATE_INDEX, STATES, Tiling, TraceView
 
 ThreadFilter = Callable[[str], bool]
+
+_RUNNING = STATE_INDEX[ThreadState.RUNNING]
 
 
 def _match(names: Iterable[str], selector: ThreadFilter) -> List[str]:
@@ -36,11 +40,14 @@ def state_times(
     until: Optional[Time] = None,
 ) -> Dict[ThreadState, float]:
     """Total seconds the selected threads spent in each state."""
-    totals = {state: 0 for state in ThreadState}
+    totals = np.zeros(len(STATES), dtype=np.int64)
     for name in _match(trace.thread_names(), selector):
-        for start, end, state in trace.intervals(name, until):
-            totals[state] += end - start
-    return {state: to_seconds(ticks) for state, ticks in totals.items()}
+        starts, ends, codes = trace.tiling(name, until)
+        np.add.at(totals, codes, ends - starts)
+    return {
+        state: to_seconds(ticks)
+        for state, ticks in zip(STATES, totals.tolist())
+    }
 
 
 def top_running_threads(
@@ -51,12 +58,10 @@ def top_running_threads(
     """Threads ranked by total RUNNING seconds, descending."""
     totals: List[Tuple[str, float]] = []
     for name in trace.thread_names():
-        running = sum(
-            end - start
-            for start, end, state in trace.intervals(name, until)
-            if state is ThreadState.RUNNING
-        )
-        totals.append((name, to_seconds(running)))
+        starts, ends, codes = trace.tiling(name, until)
+        running = codes == _RUNNING
+        ticks = int((ends[running] - starts[running]).sum())
+        totals.append((name, to_seconds(ticks)))
     totals.sort(key=lambda item: item[1], reverse=True)
     return totals[:limit]
 
@@ -66,14 +71,23 @@ def state_breakdown(
     thread_name: str,
     until: Optional[Time] = None,
 ) -> Dict[ThreadState, float]:
-    """Fraction of one thread's lifetime spent in each state."""
-    intervals = trace.intervals(thread_name, until)
-    total = sum(end - start for start, end, _ in intervals)
-    if total == 0:
-        return {state: 0.0 for state in ThreadState}
+    """Fraction of one thread's lifetime spent in each state.
+
+    Each state's fraction is the left-to-right float sum of its
+    intervals' ``(end - start) / total`` shares: ``np.cumsum`` adds in
+    order, where ``np.sum`` would add pairwise and round differently.
+    """
+    starts, ends, codes = trace.tiling(thread_name, until)
+    durations = ends - starts
+    total = int(durations.sum())
     result = {state: 0.0 for state in ThreadState}
-    for start, end, state in intervals:
-        result[state] += (end - start) / total
+    if total == 0:
+        return result
+    shares = durations / total
+    present = np.bincount(codes, minlength=len(STATES)).tolist()
+    for code, count in enumerate(present):
+        if count:
+            result[STATES[code]] = float(np.cumsum(shares[codes == code])[-1])
     return result
 
 
@@ -89,23 +103,21 @@ class PreemptionStats:
     total_victim_wait_s: float
 
 
-def _running_duration_from(
-    trace: TraceView, thread_name: str, start: Time, until: Time
-) -> Time:
-    """Contiguous RUNNING time of ``thread_name`` starting at ``start``."""
-    for ivl_start, ivl_end, state in trace.intervals(thread_name, until):
-        if state is ThreadState.RUNNING and ivl_start <= start < ivl_end:
-            return ivl_end - start
+def _running_duration_from(tiling: Tiling, start: Time) -> Time:
+    """Contiguous RUNNING time of a thread starting at ``start``."""
+    starts, ends, codes = tiling
+    index = int(np.searchsorted(starts, start, side="right")) - 1
+    if index >= 0 and start < ends[index] and codes[index] == _RUNNING:
+        return int(ends[index]) - start
     return 0
 
 
-def _wait_until_running(
-    trace: TraceView, thread_name: str, start: Time, until: Time
-) -> Time:
-    """Time from ``start`` until ``thread_name`` next enters RUNNING."""
-    for ivl_start, ivl_end, state in trace.intervals(thread_name, until):
-        if state is ThreadState.RUNNING and ivl_start >= start:
-            return ivl_start - start
+def _wait_until_running(tiling: Tiling, start: Time, until: Time) -> Time:
+    """Time from ``start`` until a thread next enters RUNNING."""
+    running_starts = tiling.starts[tiling.states == _RUNNING]
+    index = int(np.searchsorted(running_starts, start, side="left"))
+    if index < running_starts.size:
+        return int(running_starts[index]) - start
     return until - start
 
 
@@ -127,14 +139,21 @@ def preemption_stats(
         if time <= until and victim_selector(victim):
             events_by_victor[victor].append((time, victim))
 
+    tilings: Dict[str, Tiling] = {}
+
+    def tiling(name: str) -> Tiling:
+        if name not in tilings:
+            tilings[name] = trace.tiling(name, until)
+        return tilings[name]
+
     results: List[PreemptionStats] = []
     for victor, events in events_by_victor.items():
         runs = [
-            _running_duration_from(trace, victor, time, until)
+            _running_duration_from(tiling(victor), time)
             for time, _victim in events
         ]
         waits = [
-            _wait_until_running(trace, victim, time, until)
+            _wait_until_running(tiling(victim), time, until)
             for time, victim in events
         ]
         count = len(events)
@@ -158,27 +177,36 @@ def cpu_utilization_series(
     window: Time = seconds(1.0),
     until: Optional[Time] = None,
 ) -> List[Tuple[float, float]]:
-    """(window start seconds, utilization in [0,1]) per window."""
+    """(window start seconds, utilization in [0,1]) per window.
+
+    Raises :class:`ValueError` for a ``window`` that is not positive.
+    """
+    if window <= 0:
+        raise ValueError(f"window must be positive, got {window}")
     if until is None:
         until = trace.end_time
-    running = [
-        (start, end)
-        for start, end, state in trace.intervals(thread_name, until)
-        if state is ThreadState.RUNNING
+    starts, ends, codes = trace.tiling(thread_name, until)
+    running = codes == _RUNNING
+    starts, ends = starts[running], ends[running]
+    window_starts = np.arange(trace.start_time, until, window, dtype=np.int64)
+    if window_starts.size == 0:
+        return []
+    edges = np.append(window_starts, np.int64(until))
+    # Running ticks up to each edge: whole intervals ended by it, plus
+    # the elapsed part of the interval it falls in.
+    done = np.searchsorted(ends, edges, side="right")
+    elapsed = np.concatenate(([0], np.cumsum(ends - starts)))[done]
+    if starts.size:
+        current = np.minimum(done, starts.size - 1)
+        partial = np.where(
+            done < starts.size, np.maximum(edges - starts[current], 0), 0
+        )
+        elapsed = elapsed + partial
+    utilization = np.diff(elapsed) / np.diff(edges)
+    return [
+        (to_seconds(start), util)
+        for start, util in zip(window_starts.tolist(), utilization.tolist())
     ]
-    series: List[Tuple[float, float]] = []
-    window_start = trace.start_time
-    while window_start < until:
-        window_end = min(window_start + window, until)
-        busy = 0
-        for start, end in running:
-            overlap = min(end, window_end) - max(start, window_start)
-            if overlap > 0:
-                busy += overlap
-        span = window_end - window_start
-        series.append((to_seconds(window_start), busy / span if span else 0.0))
-        window_start = window_end
-    return series
 
 
 def migration_counts(trace: TraceView) -> Dict[str, int]:

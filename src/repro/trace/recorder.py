@@ -30,7 +30,7 @@ from ..sched.states import ThreadState
 from ..sim.clock import Time, seconds
 from ..sim.engine import Simulator
 from ..sim.periodic import PeriodicService
-from .view import Preemption, TraceView, Transition
+from .view import Preemption, ThreadColumns, TraceView, Transition
 
 __all__ = ["Preemption", "TraceRecorder", "Transition"]
 
@@ -50,6 +50,8 @@ class TraceRecorder(TraceView):
         self._counter_fns: List[Tuple[str, Callable[[], float]]] = []
         self._sampler: Optional[PeriodicService] = None
         self._end_time: Optional[Time] = None
+        #: Per-thread columns, kept once detached (see thread_columns).
+        self._columns: Dict[str, ThreadColumns] = {}
         sim.on("sched.state", self._on_state)
         sim.on("sched.preempt", self._on_preempt)
         sim.on("sched.migrate", self._on_migrate)
@@ -82,6 +84,21 @@ class TraceRecorder(TraceView):
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
+
+    def thread_columns(self, thread_name: str) -> ThreadColumns:
+        """Columns built from :attr:`transitions`.
+
+        While attached the lists still grow, so the columns are built
+        afresh on each call; after :meth:`detach` each thread's are
+        built once and shared by every later query.
+        """
+        if self._end_time is None:
+            return super().thread_columns(thread_name)
+        columns = self._columns.get(thread_name)
+        if columns is None:
+            columns = super().thread_columns(thread_name)
+            self._columns[thread_name] = columns
+        return columns
 
     # ------------------------------------------------------------------
     # Event capture

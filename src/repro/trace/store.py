@@ -54,7 +54,14 @@ from ..storage import (
     verified_read,
     write_sidecar,
 )
-from .view import Preemption, TraceView, Transition
+from .view import (
+    STATE_INDEX,
+    STATES,
+    Preemption,
+    ThreadColumns,
+    TraceView,
+    Transition,
+)
 
 #: Bump when the column layout or the event semantics change: old trace
 #: files then stop matching their content address and are re-recorded.
@@ -69,15 +76,6 @@ QUARANTINE_DIR = "quarantine"
 
 #: File suffix of stored traces.
 TRACE_SUFFIX = ".trace.npz"
-
-#: Canonical state encoding: index into the enum's declaration order.
-#: Frozen by TRACE_SCHEMA_VERSION — reordering ThreadState is a schema
-#: change.
-_STATES: Tuple[ThreadState, ...] = tuple(ThreadState)
-_STATE_INDEX: Dict[ThreadState, int] = {
-    state: index for index, state in enumerate(_STATES)
-}
-
 
 class TraceFormatError(ValueError):
     """A trace file is truncated, corrupt, or from another schema."""
@@ -146,10 +144,10 @@ def _columns_from_view(
     for thread in threads:
         for time, state in view.transitions[thread]:
             tr_time.append(time)
-            tr_state.append(_STATE_INDEX[state])
+            tr_state.append(STATE_INDEX[state])
         tr_offsets.append(len(tr_time))
     initial = [
-        _STATE_INDEX[
+        STATE_INDEX[
             view.initial_states.get(thread, ThreadState.SLEEPING)
         ]
         for thread in threads
@@ -233,76 +231,131 @@ def save_trace(
     return path
 
 
+#: The run of a thread with no transitions: empty, initially SLEEPING.
+_NO_RUN = (0, 0, STATE_INDEX[ThreadState.SLEEPING])
+
+
 class ReplayTrace(TraceView):
     """A recorded trace loaded from disk, analysis-ready.
 
-    Satisfies the full :class:`~repro.trace.view.TraceView` contract
-    with native Python containers, so every query in
-    :mod:`repro.trace.analysis` is bit-identical to running it against
-    the live recorder the file was saved from.
+    Keeps the file's columns as loaded: :meth:`thread_columns` serves
+    slices of the ``tr_time``/``tr_state`` arrays, so the queries in
+    :mod:`repro.trace.analysis` read the same int64/int8 values they
+    read from the live recorder the file was saved from, and answer
+    bit-identically.  The native Python containers of the
+    :class:`~repro.trace.view.TraceView` contract (:attr:`transitions`,
+    the event lists, :attr:`counters`) are built on first access only.
     """
 
-    def __init__(
-        self,
-        start_time: Time,
-        end_time: Time,
-        transitions: Dict[str, List[Transition]],
-        initial_states: Dict[str, ThreadState],
-        preemptions: List[Preemption],
-        rotations: List[Preemption],
-        migrations: Dict[str, int],
-        counters: Dict[str, List[Tuple[Time, float]]],
-        meta: Dict[str, Any],
-    ) -> None:
-        self.start_time = start_time
-        self._end_time = end_time
-        self.transitions = transitions
-        self.initial_states = initial_states
-        self.preemptions = preemptions
-        self.rotations = rotations
-        self.migrations = migrations
-        self.counters = counters
+    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
+        span = columns["span"].tolist()
+        self.start_time = span[0]
+        self._end_time: Time = span[1]
+        self._columns = columns
+        self._names: List[str] = columns["names"].tolist()
+        offsets = columns["tr_offsets"].tolist()
+        initial = columns["thread_initial"].tolist()
+        #: Thread name -> (first transition row, end row, initial code).
+        self._runs: Dict[str, Tuple[int, int, int]] = {
+            self._names[index]: (offsets[row], offsets[row + 1], initial[row])
+            for row, index in enumerate(columns["thread_idx"].tolist())
+        }
+        self.migrations = {
+            self._names[index]: count
+            for index, count in zip(
+                columns["mig_thread"].tolist(), columns["mig_count"].tolist()
+            )
+        }
+        meta = json.loads(str(columns["meta_json"][0]))
         #: Free-form metadata recorded at save time (spec digest, ...).
-        self.meta = meta
-        self._interval_cache: Dict[
-            Tuple[str, Optional[Time]],
-            List[Tuple[Time, Time, ThreadState]],
-        ] = {}
+        self.meta: Dict[str, Any] = meta if isinstance(meta, dict) else {}
 
     @property
     def end_time(self) -> Time:
         return self._end_time
 
-    def intervals(
-        self, thread_name: str, until: Optional[Time] = None
-    ) -> List[Tuple[Time, Time, ThreadState]]:
-        """Memoized :meth:`TraceView.intervals`.
+    @property
+    def thread_count(self) -> int:
+        """Threads with at least one transition."""
+        return len(self._runs)
 
-        A replayed trace is immutable, so the interval tiling for a
-        given ``(thread, until)`` never changes — caching it turns the
-        per-event rebuilds in ``preemption_stats`` from O(events x
-        transitions) into one pass per thread.  Callers treat interval
-        lists as read-only (the analysis queries only iterate them).
-        """
-        key = (thread_name, until)
-        cached = self._interval_cache.get(key)
-        if cached is None:
-            cached = super().intervals(thread_name, until)
-            self._interval_cache[key] = cached
-        return cached
+    @property
+    def transition_count(self) -> int:
+        """Transitions over all threads."""
+        return int(self._columns["tr_offsets"][-1])
 
+    def thread_names(self) -> List[str]:
+        return sorted(self._runs)
 
-def _events_from_columns(
-    data: Any, names: List[str], prefix: str
-) -> List[Preemption]:
-    times = data[f"{prefix}_time"].tolist()
-    victims = data[f"{prefix}_victim"].tolist()
-    victors = data[f"{prefix}_victor"].tolist()
-    cores = data[f"{prefix}_core"].tolist()
-    return [
-        (time, names[victim], names[victor], core)
-        for time, victim, victor, core in zip(times, victims, victors, cores)
-    ]
+    def thread_columns(self, thread_name: str) -> ThreadColumns:
+        start, stop, initial = self._runs.get(thread_name, _NO_RUN)
+        return ThreadColumns(
+            self._columns["tr_time"][start:stop],
+            self._columns["tr_state"][start:stop],
+            initial,
+        )
+
+    #: :class:`~repro.trace.view.TraceView` containers decoded from the
+    #: columns on first access, each by its ``_decode_<name>`` method.
+    _DECODED = ("transitions", "initial_states", "preemptions", "rotations",
+                "counters")
+
+    def __getattr__(self, name: str) -> object:
+        # Only reached while ``name`` is not yet an instance attribute:
+        # decode it once, then later reads find the stored value.
+        if name not in ReplayTrace._DECODED:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        value: object = getattr(self, f"_decode_{name}")()
+        setattr(self, name, value)
+        return value
+
+    def _decode_transitions(self) -> Dict[str, List[Transition]]:
+        times = self._columns["tr_time"].tolist()
+        codes = self._columns["tr_state"].tolist()
+        return {
+            name: [(times[i], STATES[codes[i]]) for i in range(start, stop)]
+            for name, (start, stop, _initial) in self._runs.items()
+        }
+
+    def _decode_initial_states(self) -> Dict[str, ThreadState]:
+        return {
+            name: STATES[initial]
+            for name, (_start, _stop, initial) in self._runs.items()
+        }
+
+    def _decode_preemptions(self) -> List[Preemption]:
+        return self._events("pre")
+
+    def _decode_rotations(self) -> List[Preemption]:
+        return self._events("rot")
+
+    def _decode_counters(self) -> Dict[str, List[Tuple[Time, float]]]:
+        columns = self._columns
+        offsets = columns["ctr_offsets"].tolist()
+        times = columns["ctr_time"].tolist()
+        values = columns["ctr_value"].tolist()
+        return {
+            name: [
+                (times[i], values[i])
+                for i in range(offsets[row], offsets[row + 1])
+            ]
+            for row, name in enumerate(columns["counter_names"].tolist())
+        }
+
+    def _events(self, prefix: str) -> List[Preemption]:
+        names = self._names
+        columns = self._columns
+        return [
+            (time, names[victim], names[victor], core)
+            for time, victim, victor, core in zip(
+                columns[f"{prefix}_time"].tolist(),
+                columns[f"{prefix}_victim"].tolist(),
+                columns[f"{prefix}_victor"].tolist(),
+                columns[f"{prefix}_core"].tolist(),
+            )
+        ]
 
 
 def load_trace(path: Union[str, Path]) -> ReplayTrace:
@@ -339,52 +392,47 @@ def _load_trace_source(
         raise TraceFormatError(f"{label}: unreadable trace ({exc!r})") from exc
 
 
+#: Columns every trace file carries (``format`` is checked first).
+_COLUMNS = (
+    "span", "names", "thread_idx", "thread_initial",
+    "tr_offsets", "tr_time", "tr_state", "mig_thread", "mig_count",
+    "counter_names", "ctr_offsets", "ctr_time", "ctr_value", "meta_json",
+    *(f"{prefix}_{field}" for prefix in ("pre", "rot")
+      for field in ("time", "victim", "victor", "core")),
+)
+
+
 def _replay_from_columns(data: Any) -> ReplayTrace:
-    names: List[str] = [str(name) for name in data["names"]]
-    span = data["span"].tolist()
-    thread_idx = data["thread_idx"].tolist()
-    thread_initial = data["thread_initial"].tolist()
-    tr_offsets = data["tr_offsets"].tolist()
-    tr_time = data["tr_time"].tolist()
-    tr_state = data["tr_state"].tolist()
-    transitions: Dict[str, List[Transition]] = {}
-    initial_states: Dict[str, ThreadState] = {}
-    for position, index in enumerate(thread_idx):
-        thread = names[index]
-        start, stop = tr_offsets[position], tr_offsets[position + 1]
-        transitions[thread] = [
-            (tr_time[i], _STATES[tr_state[i]]) for i in range(start, stop)
-        ]
-        initial_states[thread] = _STATES[thread_initial[position]]
-    migrations = {
-        names[index]: count
-        for index, count in zip(
-            data["mig_thread"].tolist(), data["mig_count"].tolist()
-        )
-    }
-    counter_names = [str(name) for name in data["counter_names"]]
-    ctr_offsets = data["ctr_offsets"].tolist()
-    ctr_time = data["ctr_time"].tolist()
-    ctr_value = data["ctr_value"].tolist()
-    counters: Dict[str, List[Tuple[Time, float]]] = {}
-    for position, counter in enumerate(counter_names):
-        start, stop = ctr_offsets[position], ctr_offsets[position + 1]
-        counters[counter] = [
-            (ctr_time[i], ctr_value[i]) for i in range(start, stop)
-        ]
-    meta_raw = json.loads(str(data["meta_json"][0]))
-    meta: Dict[str, Any] = meta_raw if isinstance(meta_raw, dict) else {}
-    return ReplayTrace(
-        start_time=span[0],
-        end_time=span[1],
-        transitions=transitions,
-        initial_states=initial_states,
-        preemptions=_events_from_columns(data, names, "pre"),
-        rotations=_events_from_columns(data, names, "rot"),
-        migrations=migrations,
-        counters=counters,
-        meta=meta,
-    )
+    """Read every column and check that the groups fit together.
+
+    All decompression happens here, so a damaged member fails the load
+    rather than a later query; the Python containers are built lazily
+    by :class:`ReplayTrace`.
+    """
+    columns: Dict[str, np.ndarray] = {name: data[name] for name in _COLUMNS}
+    for rows, offsets, values in (
+        ("thread_idx", "tr_offsets", "tr_time"),
+        ("counter_names", "ctr_offsets", "ctr_time"),
+    ):
+        bounds = columns[offsets].tolist()
+        if bounds[:1] != [0] or bounds[-1] != len(columns[values]) or (
+            len(bounds) != len(columns[rows]) + 1
+        ):
+            raise ValueError(f"{offsets} does not match {rows}/{values}")
+    _check_codes(columns, len(columns["names"]), "thread_idx", "mig_thread",
+                 "pre_victim", "pre_victor", "rot_victim", "rot_victor")
+    _check_codes(columns, len(STATES), "tr_state", "thread_initial")
+    return ReplayTrace(columns)
+
+
+def _check_codes(
+    columns: Dict[str, np.ndarray], limit: int, *keys: str
+) -> None:
+    """Every value of the ``keys`` index columns lies in ``[0, limit)``."""
+    for key in keys:
+        codes = columns[key]
+        if codes.size and not 0 <= codes.min() <= codes.max() < limit:
+            raise ValueError(f"{key} holds a code outside [0, {limit})")
 
 
 def iter_traces(
@@ -420,11 +468,11 @@ def trace_digest(view: TraceView) -> Dict[str, object]:
         "schema": TRACE_SCHEMA_VERSION,
         "span": [view.start_time, view.end_time],
         "initial": {
-            name: _STATE_INDEX[state]
+            name: STATE_INDEX[state]
             for name, state in sorted(view.initial_states.items())
         },
         "transitions": {
-            name: [[t, _STATE_INDEX[s]] for t, s in view.transitions[name]]
+            name: [[t, STATE_INDEX[s]] for t, s in view.transitions[name]]
             for name in sorted(view.transitions)
         },
         "preemptions": [list(e) for e in view.preemptions],

@@ -116,6 +116,23 @@ def test_trace_record_analyze_ls_roundtrip(tmp_path, capsys):
     assert len(listing) == 1
 
 
+def test_trace_ls_counts_match_trace_digest(tmp_path, capsys):
+    from repro.trace.store import TraceStore, trace_digest
+
+    store = str(tmp_path / "traces")
+    assert main([
+        "trace", "record", "--devices", "nexus5", "--pressures", "moderate",
+        "--resolution", "240p", "--duration", "2", "--store", store,
+        "--no-cache", "--json",
+    ]) == 0
+    (key,) = json.loads(capsys.readouterr().out)["keys"]
+    assert main(["trace", "ls", "--store", store, "--json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    digest = trace_digest(TraceStore(store).load(key))
+    assert row["threads"] == digest["threads"] > 0
+    assert row["transitions"] == digest["transitions"] > 0
+
+
 def test_trace_record_skips_existing(tmp_path, capsys):
     store = str(tmp_path / "traces")
     argv = [

@@ -147,6 +147,33 @@ def test_load_rejects_wrong_schema_version(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize("damage", [
+    lambda c: c.update(tr_offsets=c["tr_offsets"][:-1]),
+    lambda c: c.update(tr_offsets=c["tr_offsets"] + 1),
+    lambda c: c.update(ctr_time=c["ctr_time"][:-1]),
+    lambda c: c.update(tr_state=np.full_like(c["tr_state"], 99)),
+    lambda c: c.update(thread_idx=c["thread_idx"] + len(c["names"])),
+    lambda c: c.pop("rot_core"),
+])
+def test_load_rejects_inconsistent_columns(tmp_path, damage):
+    # Tuples are decoded lazily, so a file whose columns do not fit
+    # together must fail at load, not in a later query.
+    path = save_trace(synthetic_trace(), tmp_path / "t.trace.npz")
+    with np.load(path) as data:
+        columns = dict(data)
+    # The synthetic trace samples no counters: give it one track.
+    columns["counter_names"] = np.array(["free_mb"])
+    columns["ctr_offsets"] = np.array([0, 2])
+    columns["ctr_time"] = np.array([0, 5])
+    columns["ctr_value"] = np.array([1.0, 2.0])
+    np.savez_compressed(path, **columns)
+    assert load_trace(path).counters == {"free_mb": [(0, 1.0), (5, 2.0)]}
+    damage(columns)
+    np.savez_compressed(path, **columns)
+    with pytest.raises(TraceFormatError):
+        load_trace(path)
+
+
 def test_iter_traces_skips_corrupt(tmp_path):
     save_trace(synthetic_trace(seed=1), tmp_path / "a.trace.npz")
     (tmp_path / "b.trace.npz").write_bytes(b"garbage")
