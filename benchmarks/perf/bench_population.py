@@ -34,8 +34,8 @@ def _peak_rss_mb() -> float:
 
 
 def _warmup() -> None:
-    """Pay one-time costs (lazy scipy.signal import, numpy caches)
-    outside the timed region."""
+    """Pay one-time costs (module imports, numpy caches, first-call
+    allocations) outside the timed region."""
     run_fleet(FleetConfig(n_devices=8, hours_scale=HOURS_SCALE, seed=SEED))
 
 

@@ -527,12 +527,18 @@ def _run_chunk(
     return results
 
 
+def _job_name(key: Optional[str], index: int) -> str:
+    """How a failure message names a job: its key, else its index."""
+    return f"job {key}" if key is not None else f"job #{index}"
+
+
 def _run_with_retries(
     payload: Any,
     runner: JobRunner,
     seed: int,
     policy: RetryPolicy,
     report: FabricReport,
+    name: str,
 ) -> Any:
     """Run one job in-process with bounded, deterministic-jitter retries."""
     attempts = max(1, policy.max_attempts)
@@ -545,7 +551,7 @@ def _run_with_retries(
             report.failures += 1
             if attempt + 1 >= attempts:
                 raise JobFailedError(
-                    f"session job (seed {seed}) still failing after "
+                    f"{name} (seed {seed}) still failing after "
                     f"{attempts} attempts: {exc!r}"
                 ) from exc
             report.retries += 1
@@ -684,6 +690,7 @@ def _one_pool_pass(
 def _run_pool(
     payloads: Sequence[Any],
     runner: JobRunner,
+    keys: Sequence[Optional[str]],
     seeds: Sequence[int],
     fan_out: Sequence[int],
     n_workers: int,
@@ -703,7 +710,8 @@ def _run_pool(
         for index in failed:
             report.serial_fallback += 1
             complete(index, _run_with_retries(
-                payloads[index], runner, seeds[index], policy, report
+                payloads[index], runner, seeds[index], policy, report,
+                _job_name(keys[index], index),
             ))
         if not lost:
             return
@@ -727,7 +735,8 @@ def _run_pool(
         for index in sorted(lost):
             report.serial_fallback += 1
             complete(index, _run_with_retries(
-                payloads[index], runner, seeds[index], policy, report
+                payloads[index], runner, seeds[index], policy, report,
+                _job_name(keys[index], index),
             ))
         return
 
@@ -843,13 +852,14 @@ def run_jobs(
         n_workers = effective_jobs(jobs, len(fan_out))
         if n_workers > 1:
             _run_pool(
-                payloads, runner, job_seeds, fan_out, n_workers,
+                payloads, runner, job_keys, job_seeds, fan_out, n_workers,
                 policy, stats, complete,
             )
         else:
             for index in fan_out:
                 complete(index, _run_with_retries(
                     payloads[index], runner, job_seeds[index], policy, stats,
+                    _job_name(job_keys[index], index),
                 ))
     except KeyboardInterrupt:
         stats.interrupted = True

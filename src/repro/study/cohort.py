@@ -273,32 +273,180 @@ def _cohort_draws(
 # Batched kernels
 # ======================================================================
 
+#: AR(1) kernel geometry (see :func:`ar1_batch`): lanes advanced per
+#: numpy call, time steps per scratch block, and the steps a
+#: speculative segment gets per fix-up window to meet its true run.
+_AR1_LANES = 1024
+_AR1_BLOCK = 256
+_AR1_WINDOW = 256
+
+
 def ar1_batch(noise: np.ndarray, coeff: float) -> np.ndarray:
-    """``y[t] = coeff·y[t-1] + noise[t]`` along the last axis.
+    """``y[t] = coeff·y[t-1] + noise[t]`` along the last axis, from a
+    zero state; any leading batch shape, float dtype preserved (other
+    dtypes run in float64).
 
-    One C-level lfilter recursion per row, any leading batch shape,
-    dtype preserved.
+    Bit-identical to ``scipy.signal.lfilter([1], [1, -coeff], noise)``
+    in the same dtype, for finite noise.  That kernel computes
+    ``y[0] = 0 + x[0]`` and ``y[t] = (0·x[t-1] - y[t-1]·(-c)) + x[t]``,
+    i.e. ``fl(fl(c·y[t-1]) + x[t])`` with ``c`` rounded to the dtype:
+    one numpy multiply and one add per step, run here from a zero state
+    so that the first step is ``0 + x[0]`` too.  The signed zeros agree
+    for every ``c`` above 0.5, which covers all model coefficients:
+    there ``c·y`` never underflows to zero, so ``y`` is never ``-0``.
+
+    The recursion is sequential in time, so each numpy call advances
+    many independent *lanes* one step.  Rows are split into ``K`` time
+    segments so that rows × K ≈ ``_AR1_LANES``; the lanes are advanced
+    ``_AR1_BLOCK`` steps at a time in a cache-resident ``(steps,
+    lanes)`` scratch block.  Segments after a row's first start from a
+    speculative zero state; :func:`_ar1_fixup` then re-runs each from
+    its true start until the two runs agree *bitwise*, after which they
+    are the same recursion on the same state and inputs.
     """
-    from scipy.signal import lfilter
-
-    b = np.ones(1, dtype=noise.dtype)
-    a = np.array([1.0, -coeff], dtype=noise.dtype)
-    out = lfilter(b, a, noise, axis=-1)
-    return np.asarray(out, dtype=noise.dtype)
+    return _ar1(np.asarray(noise), coeff, None)
 
 
-def _ar1_from_uniform(
-    u: np.ndarray, coeff: float, amp: np.ndarray
+def _ar1(
+    src: np.ndarray, coeff: float, amp: Optional[np.ndarray]
 ) -> np.ndarray:
-    """AR(1) driven by uniform innovations ``(u - 0.5)·amp`` (float32).
+    """:func:`ar1_batch` of ``src``, or, when ``amp`` is given, of the
+    uniform innovations ``(src - 0.5)·amp``.
 
     ``amp`` broadcasts per device ((C, 1) column or scalar); choose
     ``amp = σ·sqrt(12)`` to match a Gaussian-innovation AR(1)'s
-    variance.
+    variance.  The innovations are formed block by block inside the
+    kernel's scratch buffer, never as a full-size array.
     """
-    inn = u - np.float32(0.5)
-    inn *= amp
-    return ar1_batch(inn, coeff)
+    if src.dtype.kind != "f":
+        src = src.astype(np.float64)
+    out = np.empty(src.shape, dtype=src.dtype)
+    if out.size == 0:
+        return out
+    n = src.shape[-1]
+    amp_col = None
+    if amp is not None:
+        amp_col = np.broadcast_to(
+            np.asarray(amp), src.shape[:-1] + (1,)
+        ).reshape(-1, 1)
+    _ar1_rows(
+        src.reshape(-1, n), out.reshape(-1, n),
+        np.asarray(coeff, dtype=src.dtype), amp_col,
+    )
+    return out
+
+
+def _load(
+    view: np.ndarray,
+    amp: Optional[np.ndarray],
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Copy ``view`` into ``out`` (default: a fresh C-contiguous buffer;
+    ``ascontiguousarray`` may return the input itself, which the
+    in-place kernel would then overwrite), as the innovations
+    ``(view - 0.5)·amp`` when ``amp`` is given."""
+    if out is None:
+        out = np.empty(view.shape, dtype=view.dtype)
+    if amp is None:
+        np.copyto(out, view)
+    else:
+        np.subtract(view, np.float32(0.5), out=out)
+        np.multiply(out, amp, out=out)
+    return out
+
+
+def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    ints = np.int32 if a.dtype.itemsize == 4 else np.int64
+    return np.asarray(a.view(ints) == b.view(ints))
+
+
+def _ar1_steps(
+    block: np.ndarray, state: np.ndarray, c: np.ndarray
+) -> None:
+    """Advance the lanes of ``state`` through the innovations ``block``
+    (steps, *lanes) in place, one multiply and one add per step."""
+    tmp = np.empty_like(state)
+    prev = state
+    for row in block:
+        np.multiply(prev, c, out=tmp)
+        np.add(tmp, row, out=row)
+        prev = row
+
+
+def _ar1_rows(
+    x: np.ndarray, y: np.ndarray, c: np.ndarray, amp: Optional[np.ndarray]
+) -> None:
+    """The AR(1) of rows ``x`` into ``y`` (R, n); ``amp`` is None or an
+    (R, 1) column.  More than ``_AR1_LANES`` rows run unsegmented."""
+    rows, n = x.shape
+    k_seg = max(1, min(_AR1_LANES // rows, n // (2 * _AR1_WINDOW)))
+    seg = n // k_seg
+    main = k_seg * seg
+    xv = x[:, :main].reshape(rows, k_seg, seg)
+    yv = y[:, :main].reshape(rows, k_seg, seg)
+    state = np.zeros((rows, k_seg), dtype=y.dtype)
+    block = np.empty((min(_AR1_BLOCK, seg), rows, k_seg), dtype=y.dtype)
+    for s in range(0, seg, _AR1_BLOCK):
+        steps = block[: min(_AR1_BLOCK, seg - s)]
+        _load(xv[:, :, s:s + len(steps)].transpose(2, 0, 1), amp, steps)
+        _ar1_steps(steps, state, c)
+        state = steps[-1].copy()
+        yv[:, :, s:s + len(steps)] = steps.transpose(1, 2, 0)
+    if k_seg > 1:
+        _ar1_fixup(xv, yv, c, amp)
+    if main < n:
+        # The n % K leftover steps continue each row's last segment.
+        tail = _load(x[:, main:].T, None if amp is None else amp[:, 0])
+        _ar1_steps(tail, y[:, main - 1].copy(), c)
+        y[:, main:] = tail.T
+
+
+def _ar1_fixup(
+    xv: np.ndarray, yv: np.ndarray, c: np.ndarray,
+    amp: Optional[np.ndarray],
+) -> None:
+    """Correct the speculative segments 1..K-1 of ``yv`` (R, K, seg).
+
+    Each stored segment is always one run of the recursion over its
+    inputs from *some* start state, so once a run from the true start
+    meets it bitwise the rest already holds the true values.  First
+    every segment re-runs its first window from the stored end of the
+    segment before it, all lanes at once; that end is true whenever the
+    segment before settled within its own window (always for segment
+    0).  Then, in segment order, each unsettled segment is re-run whole
+    from its predecessor's true end, and a re-run whose end changed
+    sends its successor back for the same treatment.
+    """
+    rows, k_seg, seg = xv.shape
+    win = min(_AR1_WINDOW, seg)
+    trial = _load(xv[:, 1:, :win].transpose(2, 0, 1), amp)
+    _ar1_steps(trial, yv[:, :-1, -1].copy(), c)
+    stored = yv[:, 1:, :win].transpose(2, 0, 1)
+    settled = _bitwise_equal(trial, stored).any(axis=0)
+    # Unsettled segments keep their pure speculative run, so the
+    # one-run invariant holds for the re-run below.
+    np.copyto(stored, trial, where=settled)
+    unsettled = ~settled
+    amp_row = None if amp is None else amp[:, 0]
+    for k in range(1, k_seg):
+        redo = np.flatnonzero(unsettled[:, k - 1])
+        if redo.size == 0:
+            continue
+        state = yv[redo, k - 1, -1]
+        for s in range(0, seg, _AR1_WINDOW):
+            span = slice(s, min(seg, s + _AR1_WINDOW))
+            run = _load(
+                xv[redo, k, span].T,
+                None if amp_row is None else amp_row[redo],
+            )
+            _ar1_steps(run, state, c)
+            met = _bitwise_equal(run, yv[redo, k, span].T).any(axis=0)
+            yv[redo, k, span] = run.T
+            redo, state = redo[~met], run[-1, ~met]
+            if redo.size == 0:
+                break
+        if k + 1 < k_seg:
+            unsettled[redo, k] = True
 
 
 def _available_series(
@@ -328,10 +476,10 @@ def _available_series(
     lo = (total_col * 0.005).astype(np.float32)
     hi = (total_col * (1.0 - 0.12) - CAPTURER_FOOTPRINT_MB).astype(np.float32)
 
-    slow = _ar1_from_uniform(u_slow, SLOW_COEFF60, amp_slow)
+    slow = _ar1(u_slow, SLOW_COEFF60, amp_slow)
     slow += base_col
     avail = np.repeat(slow, MINUTE, axis=-1)
-    avail += _ar1_from_uniform(u_fast, FAST_COEFF, amp_fast)
+    avail += _ar1(u_fast, FAST_COEFF, amp_fast)
     np.clip(avail, lo, hi, out=avail)
     return avail
 
@@ -354,13 +502,18 @@ def _classify_states(
 
 
 def _services_series(u_serv: np.ndarray) -> np.ndarray:
-    """Running-service counts (int16) from minute-tick uniforms."""
-    y = _ar1_from_uniform(
+    """Running-service counts (int16) from minute-tick uniforms.
+
+    Rounding, clipping and the int16 cast are elementwise, so they run
+    in place on the minute ticks before the per-second repetition.
+    """
+    y = _ar1(
         u_serv, SERVICE_COEFF60, np.float32(SERVICE_SIGMA60 * _SQRT12)
     )
     y += np.float32(22.0)
-    rep = np.repeat(y, MINUTE, axis=-1)
-    return np.clip(np.round(rep), 3, 80).astype(np.int16)
+    np.round(y, out=y)
+    np.clip(y, 3, 80, out=y)
+    return np.repeat(y.astype(np.int16), MINUTE, axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -1247,8 +1400,8 @@ def reference_cohort_logs(
     logs = []
     for d in range(count):
         n_i = int(draws.n[d])
-        # One-row (1, n) slices keep the exact scipy/numpy code path of
-        # the batched call while still walking one device at a time.
+        # One-row (1, n) slices run the same AR(1) kernel and float32
+        # operations as the batched call, one device at a time.
         avail = _available_series(
             u_slow[d:d + 1], u_fast[d:d + 1],
             draws.total_mb[d:d + 1], draws.mean_util[d:d + 1],

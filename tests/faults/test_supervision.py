@@ -17,6 +17,7 @@ from repro.experiments.parallel import (
     RetryPolicy,
     SessionSpec,
     cache_key,
+    run_jobs,
     run_sessions,
 )
 from repro.faults.chaos import results_digest
@@ -67,6 +68,30 @@ def test_exhausted_retry_budget_raises_job_failed(tmp_path):
                 [spec], cache=False,
                 policy=RetryPolicy(max_attempts=2, backoff_base_s=0.001),
             )
+
+
+def _fails_on_odd(payload):
+    if payload % 2:
+        raise ValueError(f"odd payload {payload}")
+    return payload
+
+
+def test_failed_job_is_named_by_its_key_else_its_index():
+    """The message names the job the fabric ran (a fleet cohort, an
+    arena cell, ...), not a generic "session job"."""
+    policy = RetryPolicy(max_attempts=1, backoff_base_s=0.001)
+    with pytest.raises(
+        JobFailedError,
+        match=r"^job fleet-c1 \(seed 1\) still failing after 1 attempts",
+    ):
+        run_jobs([0, 1], _fails_on_odd, keys=[None, "fleet-c1"],
+                 policy=policy)
+    with pytest.raises(
+        JobFailedError,
+        match=r"^job #3 \(seed 3\) still failing after 1 attempts",
+    ):
+        run_jobs([0, 2, 4, 5], _fails_on_odd, seeds=[0, 1, 2, 3],
+                 policy=policy)
 
 
 def test_backoff_is_deterministic_bounded_and_jittered():

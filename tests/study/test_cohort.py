@@ -11,9 +11,11 @@ streams one device at a time).
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
 
 from repro.study.cohort import (
+    FAST_COEFF,
+    SERVICE_COEFF60,
+    SLOW_COEFF60,
     FleetConfig,
     _debounce,
     _emit_signals,
@@ -53,6 +55,9 @@ def _random_states(rng, n_devices, max_len):
 # ----------------------------------------------------------------------
 
 def test_ar1_batch_matches_scalar_lfilter_rows():
+    """Parity with the scipy filter the kernel replaced (scipy is not a
+    dependency; the test runs only where it is installed)."""
+    lfilter = pytest.importorskip("scipy.signal").lfilter
     rng = np.random.default_rng(11)
     noise = rng.normal(0.0, 1.0, size=(7, 500))
     coeff = 1.0 - 1.0 / 420.0
@@ -60,6 +65,17 @@ def test_ar1_batch_matches_scalar_lfilter_rows():
     for row in range(noise.shape[0]):
         expected = lfilter([1.0], [1.0, -coeff], noise[row])
         assert np.array_equal(batched[row], expected)
+    # float32 rows long enough to run as speculative segments.
+    noise32 = rng.normal(0.0, 30.0, size=(2, 5000)).astype(np.float32)
+    for coeff in (SLOW_COEFF60, FAST_COEFF, SERVICE_COEFF60):
+        expected = lfilter(
+            np.ones(1, np.float32), np.array([1.0, -coeff], np.float32),
+            noise32, axis=-1,
+        )
+        assert np.array_equal(
+            ar1_batch(noise32, coeff).view(np.int32),
+            expected.view(np.int32),
+        )
 
 
 def test_ar1_batch_preserves_float32():
