@@ -175,6 +175,24 @@ class ProjectRule(Rule):
 # ----------------------------------------------------------------------
 # Shared AST helpers
 # ----------------------------------------------------------------------
+def module_name(rel_path: str) -> str:
+    """Dotted module name of a posix-style relative path.
+
+    ``src/repro/kernel/manager.py`` -> ``repro.kernel.manager``;
+    ``pkg/__init__.py`` -> ``pkg``.  Paths outside a ``src`` layout map
+    from their own directory structure, which keeps fixture trees
+    addressable.
+    """
+    parts = rel_path.split("/")
+    if parts and parts[0] == "src":
+        parts = parts[1:]
+    if parts and parts[-1].endswith(".py"):
+        parts[-1] = parts[-1][: -len(".py")]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(part for part in parts if part)
+
+
 class ImportMap:
     """Resolves names in one module to dotted import paths.
 
@@ -182,9 +200,19 @@ class ImportMap:
     import perf_counter as pc``; method calls resolve through attribute
     chains (``dt.datetime.now`` -> ``datetime.datetime.now`` when ``dt``
     aliases ``datetime``).
+
+    Relative imports are anchored at the package of the module at
+    ``rel_path`` — which, for a package's ``__init__.py``, is the package
+    itself: in ``repro/arena/__init__.py`` ``from ..experiments.parallel
+    import run_jobs`` binds ``run_jobs`` to
+    ``repro.experiments.parallel.run_jobs``.  A relative import that
+    climbs above the top-level package binds nothing.
     """
 
-    def __init__(self, tree: ast.AST) -> None:
+    def __init__(self, tree: ast.AST, rel_path: str) -> None:
+        package = module_name(rel_path).split(".")
+        if not rel_path.endswith("__init__.py"):
+            package = package[:-1]
         self.aliases: Dict[str, str] = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -192,10 +220,16 @@ class ImportMap:
                     bound = alias.asname or alias.name.split(".")[0]
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     self.aliases[bound] = target
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level > 0:
+                    if node.level > len(package):
+                        continue
+                    anchor = package[: len(package) - (node.level - 1)]
+                    base = ".".join([*anchor, base] if base else anchor)
                 for alias in node.names:
                     bound = alias.asname or alias.name
-                    self.aliases[bound] = f"{node.module}.{alias.name}"
+                    self.aliases[bound] = f"{base}.{alias.name}"
 
     def resolve(self, node: ast.AST) -> Optional[str]:
         """Dotted path of a Name/Attribute chain, or None."""

@@ -9,13 +9,12 @@ covering everything the project-level rules need:
   types against (REP220-series);
 * module-level ``SCHEMA_VERSION``/``SCHEMA_FINGERPRINT`` constants and
   the ``SessionResult`` field list (REP204);
-* per-function call sites and taint summaries feeding the
-  interprocedural determinism pass (REP120-series);
-* class field shapes and process-boundary submission sites feeding the
-  pickle-escape pass (REP130).
+* class field shapes, process-boundary submission sites, and the
+  return annotation of every function (to see through payload factory
+  helpers) feeding the pickle-escape pass (REP130).
 
 :class:`ProjectIndex` links the per-file records into the whole-program
-models (call graph, taint closure, schema model, escape analysis).
+models (schema model, escape analysis).
 Everything is syntactic: no imports are executed, so the linter runs on
 broken or dependency-free checkouts.
 """
@@ -27,10 +26,10 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .callgraph import CallGraph, FunctionInfo, module_name
-from .dataflow import (
-    ClassShape, PickleEscape, SubmitSite, TaintAnalysis,
-    extract_classes, extract_submit_sites,
+from .engine import ImportMap, module_name
+from .escape import (
+    ClassShape, PickleEscape, SubmitSite, extract_classes,
+    extract_submit_sites,
 )
 from .schema_infer import (
     EmitShape, HandlerShape, SchemaModel, SubscriptionShape,
@@ -97,7 +96,8 @@ class FileFacts:
     constants: List[ConstantSite] = field(default_factory=list)
     session_result_fields: Optional[List[Tuple[str, str]]] = None
     session_result_line: Optional[int] = None
-    functions: List[FunctionInfo] = field(default_factory=list)
+    #: Function qualname -> (module, return annotation source or None).
+    returns: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
     emit_shapes: List[EmitShape] = field(default_factory=list)
     sub_shapes: List[SubscriptionShape] = field(default_factory=list)
     handlers: List[HandlerShape] = field(default_factory=list)
@@ -107,8 +107,6 @@ class FileFacts:
 
 def extract_file_facts(rel: str, tree: ast.AST) -> FileFacts:
     """Run every per-file extraction pass over one parsed module."""
-    from .callgraph import extract_functions
-
     module = module_name(rel)
     facts = FileFacts(rel=rel, module=module)
     for node in ast.walk(tree):
@@ -128,13 +126,44 @@ def extract_file_facts(rel: str, tree: ast.AST) -> FileFacts:
             facts.session_result_line = node.lineno
         elif isinstance(node, ast.Assign):
             _scan_assign(facts, node)
-    facts.functions = extract_functions(tree, module, rel)
+    facts.returns = _return_annotations(tree, module)
     facts.emit_shapes, facts.sub_shapes, facts.handlers = (
         extract_schema_facts(tree, module)
     )
     facts.classes = extract_classes(tree, module)
-    facts.submit_sites = extract_submit_sites(tree, module)
+    facts.submit_sites = extract_submit_sites(
+        tree, module, ImportMap(tree, rel)
+    )
     return facts
+
+
+def _return_annotations(
+    tree: ast.AST, module: str
+) -> Dict[str, Tuple[str, Optional[str]]]:
+    """Qualname -> (module, return annotation) for every function.
+
+    Qualnames are ``module.Class.name`` for methods and ``module.name``
+    otherwise; a def nested in a function keeps its enclosing class
+    prefix.  A later def of the same qualname replaces an earlier one.
+    """
+    returns: Dict[str, Tuple[str, Optional[str]]] = {}
+
+    def visit(node: ast.AST, cls: Optional[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = ".".join(
+                    part for part in (module, cls, child.name) if part
+                )
+                annotation = (
+                    ast.unparse(child.returns) if child.returns else None
+                )
+                returns[qualname] = (module, annotation)
+                visit(child, cls)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+
+    visit(tree, None)
+    return returns
 
 
 def _topic_site(rel: str, node: ast.Call) -> Optional[TopicSite]:
@@ -255,10 +284,10 @@ def _scan_assign(facts: FileFacts, node: ast.Assign) -> None:
 class ProjectIndex:
     """Facts extracted from every file in the lint target set.
 
-    Built from the per-file :class:`FileFacts` records.  The heavyweight
-    whole-program models (call graph, taint closure, schema model,
-    escape analysis) are constructed lazily so rule subsets that never
-    touch them pay nothing.
+    Built from the per-file :class:`FileFacts` records.  The
+    whole-program models (schema model, escape analysis) are
+    constructed lazily so rule subsets that never touch them pay
+    nothing.
     """
 
     def __init__(self, facts: Sequence[FileFacts]) -> None:
@@ -285,26 +314,10 @@ class ProjectIndex:
                 self.session_result_fields = f.session_result_fields
                 self.session_result_site = (f.rel, f.session_result_line or 1)
             self.module_paths[f.module] = f.rel
-        self._call_graph: Optional[CallGraph] = None
-        self._taint: Optional[TaintAnalysis] = None
         self._schema: Optional[SchemaModel] = None
         self._escape: Optional[PickleEscape] = None
 
     # -- lazy whole-program models --------------------------------------
-    @property
-    def call_graph(self) -> CallGraph:
-        if self._call_graph is None:
-            self._call_graph = CallGraph({
-                rel: f.functions for rel, f in self.facts.items()
-            })
-        return self._call_graph
-
-    @property
-    def taint(self) -> TaintAnalysis:
-        if self._taint is None:
-            self._taint = TaintAnalysis(self.call_graph)
-        return self._taint
-
     @property
     def schema(self) -> SchemaModel:
         if self._schema is None:
@@ -325,7 +338,11 @@ class ProjectIndex:
                 submit_sites=[
                     s for f in self.facts.values() for s in f.submit_sites
                 ],
-                functions=self.call_graph.functions,
+                returns={
+                    qualname: entry
+                    for f in self.facts.values()
+                    for qualname, entry in f.returns.items()
+                },
             )
         return self._escape
 

@@ -17,12 +17,10 @@ from .contracts import CONTRACT_RULES
 from .determinism import DETERMINISM_RULES
 from .robustness import ROBUSTNESS_RULES
 from .schema_rules import SCHEMA_RULES
-from .taint_rules import TAINT_RULES
 from .typing_rules import TYPING_RULES
 
 ALL_RULE_CLASSES: Sequence[Type[Rule]] = (
     *DETERMINISM_RULES,
-    *TAINT_RULES,
     *BOUNDARY_RULES,
     *ROBUSTNESS_RULES,
     *CONTRACT_RULES,

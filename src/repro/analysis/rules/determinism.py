@@ -4,13 +4,17 @@ Everything the reproduction claims — serial/parallel equivalence,
 golden-trace digests, cache hits standing in for live runs — holds only
 while a session's trajectory is a pure function of its
 :class:`~repro.experiments.parallel.SessionSpec`.  These rules ban the
-constructs that quietly break that purity inside the simulation core
+constructs that quietly break that purity.  REP101, REP102 and REP104
+flag a wall clock, an unseeded draw or a set-order loop at its own line
+in every package whose values can reach a seed, a cache or trace key, a
+journal or an emit payload; the rest police the simulation core
 (``sim``, ``kernel``, ``sched``, ``video``, ``workload``, ``device``,
 ``core``, ``trace``):
 
 ========  ==========================================================
 REP101    wall-clock reads (``time.time``, ``datetime.now``, ...)
-REP102    module-level ``random`` draws instead of named sim streams
+REP102    unseeded randomness: module-level ``random``/``numpy.random``
+          draws, OS entropy, unseeded ``Random()``/``default_rng()``
 REP103    builtin ``hash()`` (salted per process via PYTHONHASHSEED)
 REP104    iteration over a ``set``/``frozenset`` (arbitrary order)
 REP105    ``id()``-based ordering or tie-breaking (address-dependent)
@@ -28,7 +32,7 @@ import ast
 import re
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..engine import Finding, ImportMap, Rule, SourceFile
+from ..engine import Finding, ImportMap, Rule, SourceFile, iter_calls
 
 #: The deterministic core: packages whose code runs inside a simulation.
 #: ``trace`` joined when the store/replay layer landed: a recorder or
@@ -38,33 +42,46 @@ DETERMINISM_SCOPE: FrozenSet[str] = frozenset(
     {"sim", "kernel", "sched", "video", "workload", "device", "core", "trace"}
 )
 
+#: Where REP101/REP102/REP104 flag their sources: every ``repro``
+#: package plus the top-level modules (``""``).  ``analysis`` is left
+#: out: the linter hashes files and findings, never simulation state.
+#: Spelled out so that a fixture or vendored tree with another package
+#: name stays outside it.
+SOURCE_SCOPE: FrozenSet[str] = frozenset({
+    "", "arena", "core", "device", "experiments", "faults", "kernel",
+    "sched", "sim", "storage", "study", "trace", "validate", "video",
+    "workload",
+})
+
 #: Invariant code additionally covered by the float-equality rule.
 INVARIANT_SCOPE: FrozenSet[str] = DETERMINISM_SCOPE | {"validate", "experiments"}
 
 
 # ----------------------------------------------------------------------
 class WallClockRule(Rule):
-    """REP101: wall-clock reads inside the simulation core."""
+    """REP101: wall-clock reads."""
 
     id = "REP101"
-    title = "wall-clock read in simulation code"
+    title = "wall-clock read"
     rationale = (
         "Simulated time comes from Simulator.now; reading the host clock "
-        "makes a run depend on machine load and breaks replay."
+        "makes a run depend on machine load and breaks replay, and a "
+        "seed, key or record derived from it differs on every run."
     )
-    scope = DETERMINISM_SCOPE
+    scope = SOURCE_SCOPE
 
     BANNED: FrozenSet[str] = frozenset({
         "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
         "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-        "time.process_time_ns", "time.localtime", "time.gmtime", "time.ctime",
+        "time.process_time_ns", "time.clock_gettime", "time.clock_gettime_ns",
+        "time.localtime", "time.gmtime", "time.ctime",
         "datetime.datetime.now", "datetime.datetime.utcnow",
         "datetime.datetime.today", "datetime.date.today",
     })
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        imports = ImportMap(src.tree)
-        for call in _calls(src.tree):
+        imports = ImportMap(src.tree, src.rel)
+        for call in iter_calls(src.tree):
             dotted = imports.resolve(call.func)
             if dotted in self.BANNED:
                 yield self.finding(
@@ -76,41 +93,70 @@ class WallClockRule(Rule):
 
 # ----------------------------------------------------------------------
 class ModuleRandomRule(Rule):
-    """REP102: draws from the process-global ``random`` module."""
+    """REP102: randomness not derived from the run's seed."""
 
     id = "REP102"
-    title = "module-level random draw"
+    title = "unseeded random draw"
     rationale = (
-        "The global random module shares one process-wide state: any "
-        "draw order change (or another import drawing first) perturbs "
-        "every later value.  All randomness must come from named "
-        "sim.random streams (repro.sim.rng.RandomStreams)."
+        "The global random and numpy.random modules share one "
+        "process-wide state: any draw order change (or another import "
+        "drawing first) perturbs every later value, and OS entropy or an "
+        "unseeded generator never replays.  All randomness must come "
+        "from named sim.random streams (repro.sim.rng.RandomStreams) or "
+        "a generator seeded from the run's master seed."
     )
-    scope = DETERMINISM_SCOPE
+    scope = SOURCE_SCOPE
 
     DRAW_FNS: FrozenSet[str] = frozenset({
         "random", "randint", "randrange", "uniform", "choice", "choices",
         "shuffle", "sample", "gauss", "normalvariate", "lognormvariate",
         "expovariate", "betavariate", "gammavariate", "triangular",
         "paretovariate", "vonmisesvariate", "weibullvariate", "getrandbits",
-        "seed", "binomialvariate",
+        "randbytes", "seed", "binomialvariate",
+    })
+
+    #: Draws from numpy's process-global legacy generator.
+    NUMPY_DRAW_FNS: FrozenSet[str] = frozenset({
+        "random", "rand", "randn", "randint", "normal", "uniform",
+        "choice", "shuffle", "permutation", "exponential", "poisson",
+    })
+
+    #: Calls that read the OS entropy pool.
+    ENTROPY_CALLS: FrozenSet[str] = frozenset({
+        "random.SystemRandom", "os.urandom", "uuid.uuid4",
+        "secrets.token_bytes", "secrets.token_hex", "secrets.token_urlsafe",
+        "secrets.randbelow", "secrets.randbits", "secrets.choice",
+        "secrets.SystemRandom",
+    })
+
+    #: Generator constructors that seed themselves from the OS when
+    #: called without a seed.
+    SEEDABLE: FrozenSet[str] = frozenset({
+        "random.Random", "numpy.random.default_rng",
     })
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        imports = ImportMap(src.tree)
-        for call in _calls(src.tree):
+        imports = ImportMap(src.tree, src.rel)
+        for call in iter_calls(src.tree):
             dotted = imports.resolve(call.func)
             if dotted is None:
                 continue
-            if dotted == "random.SystemRandom":
+            module, _, name = dotted.rpartition(".")
+            if dotted in self.ENTROPY_CALLS:
                 yield self.finding(
                     src, call,
-                    "random.SystemRandom() draws from the OS entropy pool "
-                    "and can never replay — use a seeded named stream",
+                    f"{dotted}() draws from the OS entropy pool and can "
+                    "never replay — use a seeded named stream",
                 )
-            elif (
-                dotted.startswith("random.")
-                and dotted.split(".", 1)[1] in self.DRAW_FNS
+            elif dotted in self.SEEDABLE:
+                if not call.args and not call.keywords:
+                    yield self.finding(
+                        src, call,
+                        f"unseeded {dotted}() seeds itself from the OS — "
+                        "pass a seed derived from the run's master seed",
+                    )
+            elif (module == "random" and name in self.DRAW_FNS) or (
+                module == "numpy.random" and name in self.NUMPY_DRAW_FNS
             ):
                 yield self.finding(
                     src, call,
@@ -134,7 +180,7 @@ class BuiltinHashRule(Rule):
     scope = DETERMINISM_SCOPE
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        for call in _calls(src.tree):
+        for call in iter_calls(src.tree):
             if isinstance(call.func, ast.Name) and call.func.id == "hash":
                 yield self.finding(
                     src, call,
@@ -153,10 +199,11 @@ class SetIterationRule(Rule):
     rationale = (
         "Set iteration order depends on insertion history and on the "
         "per-process hash salt for str elements; feeding it into "
-        "scheduling, victim selection, or event enqueue makes runs "
-        "diverge.  Wrap in sorted(...) or keep an explicit list."
+        "scheduling, victim selection, event enqueue, a key or a journal "
+        "record makes runs diverge.  Wrap in sorted(...) or keep an "
+        "explicit list."
     )
-    scope = DETERMINISM_SCOPE
+    scope = SOURCE_SCOPE
 
     #: Wrappers whose result is order-insensitive: iterating inside them
     #: is safe even when the operand is a set.
@@ -260,7 +307,7 @@ class IdOrderingRule(Rule):
     scope = DETERMINISM_SCOPE
 
     def check_file(self, src: SourceFile) -> Iterable[Finding]:
-        for call in _calls(src.tree):
+        for call in iter_calls(src.tree):
             if isinstance(call.func, ast.Name) and call.func.id == "id":
                 yield self.finding(
                     src, call,
@@ -399,14 +446,6 @@ def _float_literal(node: ast.AST) -> Optional[float]:
     ):
         return node.operand.value
     return None
-
-
-# ----------------------------------------------------------------------
-def _calls(tree: Optional[ast.AST]) -> Iterator[ast.Call]:
-    assert tree is not None
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
 
 
 DETERMINISM_RULES: Tuple[type, ...] = (

@@ -228,9 +228,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     report = FabricReport()
     try:
         if args.record_trace:
-            # Cache state only picks WHICH specs re-run untraced; every
-            # spec's key stays deterministic, so the taint is spurious.
-            cells = _sweep_with_traces(  # repro: noqa[REP122]
+            cells = _sweep_with_traces(
                 args, per_cell, flat, journal, report
             )
         else:

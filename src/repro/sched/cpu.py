@@ -45,14 +45,6 @@ class Core:
     elide_from: Time = 0
     elide_work: float = 0.0
 
-    def work_to_time(self, ref_us: float) -> Time:
-        """Wall ticks needed to execute ``ref_us`` of reference work here."""
-        return max(1, round(ref_us / self.freq_ghz))
-
-    def time_to_work(self, ticks: Time) -> float:
-        """Reference work retired in ``ticks`` of wall time on this core."""
-        return ticks * self.freq_ghz
-
     @property
     def idle(self) -> bool:
         return self.current is None

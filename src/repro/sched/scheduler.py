@@ -321,8 +321,8 @@ class Scheduler:
         old = accounting.current
         if old is new_state:
             return
-        # StateAccounting.switch inlined (hot: every dispatch/rotation
-        # transitions at least two threads); keep in lockstep.
+        # Close the open interval into the old state's total and reopen
+        # it in the new state (see StateAccounting).
         now = self.sim.now
         accounting.totals[old] += now - accounting.since
         accounting.current = new_state
@@ -342,18 +342,6 @@ class Scheduler:
             queue.remove(thread)
         except ValueError:
             pass
-
-    def _next_runnable(self) -> Optional[Thread]:
-        for queue in self._rq:
-            if queue:
-                return queue[0]
-        return None
-
-    def _take_runnable(self) -> Optional[Thread]:
-        for queue in self._rq:
-            if queue:
-                return queue.popleft()
-        return None
 
     def _allowed(self, thread: Thread, core: Core) -> bool:
         return thread.allowed_cores is None or core.index in thread.allowed_cores
@@ -492,8 +480,9 @@ class Scheduler:
         # Same invariant as _slice_end: current thread's head is CpuWork.
         thread = core.current
         item = thread.queue[0]
-        # Core.work_to_time inlined here and in the replay loop below
-        # (hot: once per armed slice); keep in lockstep with cpu.py.
+        # Wall ticks to finish the item on this core: reference work
+        # over GHz, rounded, at least one tick (the replay loop in
+        # _replay_elided rounds each quantum the same way).
         freq = core.freq_ghz
         quantum = self.quantum
         to_finish = round(item.remaining / freq)
@@ -682,7 +671,7 @@ class Scheduler:
 
         # Decide what happens to the core next.
         has_more_cpu_work = bool(thread.queue) and isinstance(thread.queue[0], CpuWork)
-        # _next_runnable inlined (hot; keep in lockstep).
+        # The head of the highest-priority non-empty runqueue.
         waiter = None
         for rq_queue in self._rq:
             if rq_queue:
@@ -718,40 +707,3 @@ class Scheduler:
             if thread.queue:
                 self._advance(thread)
         self._dispatch()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def _elided_accrued(self, core: Core) -> Time:
-        """Busy time an elided core's chain has retired since
-        ``elide_from`` (read-only replay; boundaries strictly before
-        now, matching :meth:`_replay_elided`)."""
-        now = self.sim.now
-        start = core.elide_from
-        remaining = core.elide_work
-        quantum = self.quantum
-        freq = core.freq_ghz
-        while True:
-            run = round(remaining / freq)
-            if run < 1:
-                run = 1
-            if run > quantum:
-                run = quantum
-            if start + run >= now:
-                break
-            remaining -= run * freq
-            start += run
-        return start - core.elide_from
-
-    def utilization(self, horizon: Time) -> float:
-        """Mean fraction of core time spent busy over ``horizon`` ticks."""
-        if horizon <= 0:
-            return 0.0
-        busy = sum(core.busy_time for core in self.cores)
-        if self._elided_count:
-            busy += sum(
-                self._elided_accrued(core)
-                for core in self.cores
-                if core.elide_event is not None
-            )
-        return busy / (horizon * len(self.cores))

@@ -46,9 +46,11 @@ CPU_DEMANDING_STATES = frozenset(
 class StateAccounting:
     """Accumulates time spent per state for one thread.
 
-    The accounting is interval-exact: ``switch`` closes the open interval
-    at the current time and opens a new one, so the per-state totals of a
-    finished thread partition its lifetime.
+    The accounting is interval-exact: a state change (made by the
+    scheduler, which owns these fields) adds the open interval
+    ``now - since`` to the old state's total and reopens at ``now`` in
+    the new state, so the per-state totals of a finished thread
+    partition its lifetime.
     """
 
     __slots__ = ("current", "since", "totals")
@@ -57,19 +59,6 @@ class StateAccounting:
         self.current = initial
         self.since: Time = start_time
         self.totals: Dict[ThreadState, Time] = {state: 0 for state in ThreadState}
-
-    def switch(self, new_state: ThreadState, now: Time) -> Time:
-        """Move to ``new_state`` at ``now``; return the closed interval length."""
-        elapsed = now - self.since
-        self.totals[self.current] += elapsed
-        self.current = new_state
-        self.since = now
-        return elapsed
-
-    def flush(self, now: Time) -> None:
-        """Fold the open interval into the totals without changing state."""
-        self.totals[self.current] += now - self.since
-        self.since = now
 
     def total(self, state: ThreadState, now: Time) -> Time:
         """Total time in ``state`` including the open interval up to ``now``."""

@@ -41,14 +41,10 @@ class PeriodicService:
     a smaller sequence number than the next tick.  ``fn`` may call
     :meth:`stop` to end the loop (the idiom for "stop polling once the
     process dies" guards that used to be early returns).
-
-    With ``rearm=False`` the service never re-arms on its own and the
-    body (or its completion callbacks) calls :meth:`arm` explicitly —
-    the shape of loops whose next deadline depends on the work done.
     """
 
-    __slots__ = ("sim", "period", "_fn", "_args", "_label", "_rearm",
-                 "_event", "_stopped")
+    __slots__ = ("sim", "period", "_fn", "_args", "_label", "_event",
+                 "_stopped")
 
     def __init__(
         self,
@@ -57,7 +53,6 @@ class PeriodicService:
         fn: Callable[..., None],
         *args: Any,
         label: str = "",
-        rearm: bool = True,
     ) -> None:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
@@ -66,7 +61,6 @@ class PeriodicService:
         self._fn = fn
         self._args = args
         self._label = label
-        self._rearm = rearm
         self._event: Optional[Event] = None
         self._stopped = False
 
@@ -90,10 +84,6 @@ class PeriodicService:
         entry point for loops whose first iteration is inline."""
         self._fire()
 
-    def arm(self, delay: Optional[Time] = None) -> None:
-        """Explicitly arm the next firing (manual / ``rearm=False`` mode)."""
-        self.start(delay)
-
     def stop(self) -> None:
         """End the loop; cancels the pending firing, if any."""
         self._stopped = True
@@ -105,7 +95,7 @@ class PeriodicService:
     def _fire(self) -> None:
         self._event = None
         self._fn(*self._args)
-        if self._rearm and not self._stopped and self._event is None:
+        if not self._stopped and self._event is None:
             # The canonical self-rescheduling poll lives here so nothing
             # else has to hand-roll it.
             self._event = self.sim.schedule(  # repro: noqa[REP108]

@@ -871,7 +871,7 @@ class FleetSummary:
             avail_sums={
                 code: self.avail_sums.get(code, 0.0)
                 + other.avail_sums.get(code, 0.0)
-                for code in set(self.avail_sums) | set(other.avail_sums)
+                for code in sorted(set(self.avail_sums) | set(other.avail_sums))
             },
             avail_counts=merge_count_dicts(
                 self.avail_counts, other.avail_counts

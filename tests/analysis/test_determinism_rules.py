@@ -115,12 +115,42 @@ def test_direct_write_rule_spares_reads_and_storage_publishes():
     ) == []
 
 
+def _expected_sources(rel_path):
+    """(rule, line) for every ``# expect: REPnnn`` marker in a fixture."""
+    lines = (FIXTURES / rel_path).read_text().splitlines()
+    return {
+        (line.rsplit("# expect: ", 1)[1].strip(), number)
+        for number, line in enumerate(lines, start=1)
+        if "# expect: " in line
+    }
+
+
+def test_entropy_sources_fire_at_their_own_line_outside_the_core():
+    """experiments/ feeds seeds, cache keys and journals: a wall clock,
+    OS entropy, an unseeded generator, a numpy global draw and a set
+    loop are each flagged at the line that reads them."""
+    rel_path = "repro/experiments/bad_entropy_sources.py"
+    result = run_lint(
+        [FIXTURES / rel_path], root=FIXTURES, use_baseline=False,
+        only_rules=["REP101", "REP102", "REP104"],
+    )
+    found = {(f.rule, f.line) for f in result.findings}
+    assert found == _expected_sources(rel_path)
+    assert len(found) == 6
+    messages = " ".join(f.message for f in result.findings)
+    for source in ("time.time_ns", "os.urandom", "uuid.uuid4",
+                   "unseeded random.Random", "numpy.random.rand"):
+        assert source in messages
+
+
 def test_good_fixture_is_clean():
     result = run_lint(
-        [FIXTURES / "repro/kernel/good_deterministic.py"],
+        [FIXTURES / "repro/kernel/good_deterministic.py",
+         FIXTURES / "repro/experiments/good_seeded_sources.py"],
         root=FIXTURES, use_baseline=False,
     )
     assert result.ok
+    assert result.files_checked == 2
 
 
 def test_typing_rules_fire_in_strict_scope():

@@ -1,5 +1,6 @@
 """Engine mechanics: suppressions, baseline round-trip, reporters, scope."""
 
+import ast
 import json
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from repro.analysis import (
     write_baseline,
 )
 from repro.analysis.cli import run_lint
-from repro.analysis.engine import Finding, scope_key
+from repro.analysis.engine import Finding, ImportMap, scope_key
 from repro.analysis.reporters import REPORT_SCHEMA_VERSION, render_json, render_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -34,6 +35,29 @@ def test_scope_key():
     assert scope_key("repro/sim/engine.py") == "sim"
     assert scope_key("repro/cli.py") == ""
     assert scope_key("tools/script.py") is None
+
+
+def test_import_map_anchors_relative_imports_at_the_package():
+    tree = ast.parse(
+        "from .trace import TraceStore\n"
+        "from ..experiments.parallel import run_jobs\n"
+        "from . import policies as pol\n"
+        "import numpy as np\n"
+    )
+    expected = {
+        "TraceStore": "repro.arena.trace.TraceStore",
+        "run_jobs": "repro.experiments.parallel.run_jobs",
+        "pol": "repro.arena.policies",
+        "np": "numpy",
+    }
+    # A package's __init__ is its own anchor, a submodule's is its
+    # parent: both sit in repro.arena, so both resolve alike.
+    assert ImportMap(tree, "src/repro/arena/__init__.py").aliases == expected
+    assert ImportMap(tree, "src/repro/arena/driver.py").aliases == expected
+    # A relative import climbing above the top-level package binds
+    # nothing.
+    assert ImportMap(ast.parse("from ...x import y"),
+                     "repro/arena/driver.py").aliases == {}
 
 
 def test_benchmarks_out_of_scope():

@@ -192,15 +192,6 @@ def test_migration_counted_when_core_changes():
     assert mover.time_in(ThreadState.RUNNING) == 2000
 
 
-def test_utilization_bounds():
-    sim, sched = make_sched(n_cores=2)
-    thread = sched.spawn("t")
-    thread.post(millis(10) * 1.0)
-    sim.run(until=millis(20))
-    util = sched.utilization(sim.now)
-    assert 0.0 < util <= 0.5 + 1e-9
-
-
 def test_empty_core_list_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
