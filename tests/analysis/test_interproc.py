@@ -2,7 +2,10 @@
 
 Each REP13x/REP22x rule is pinned to its bad fixture (it must fire
 there, with the right shape of message) and to its good twin (it must
-stay silent).  A hypothesis property then locks the analyses'
+stay silent).  The determinism hazards once traced from source to sink
+(wall clock into a seed, an unseeded draw into ``seed=``, set order
+into a journal) are pinned the same way, now flagged at the source by
+REP101/REP102/REP104.  A hypothesis property then locks the analyses'
 order-independence: facts extracted from any permutation of the file
 list must produce identical findings, so the sorted report depends on
 the file contents alone, never on discovery order.
@@ -19,6 +22,8 @@ from repro.analysis.engine import analyze_file, finish_run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+ENTROPY_BAD = "repro/experiments/bad_entropy_sources.py"
+ENTROPY_GOOD = "repro/experiments/good_seeded_sources.py"
 
 
 def findings_for(paths, rules=None):
@@ -29,6 +34,65 @@ def findings_for(paths, rules=None):
 
 def rules_fired(paths, rules=None):
     return {f.rule for f in findings_for(paths, rules)}
+
+
+def line_of(rel_path, text):
+    """1-based number of the one fixture line that contains ``text``."""
+    lines = (FIXTURES / rel_path).read_text().splitlines()
+    [number] = [n for n, line in enumerate(lines, start=1) if text in line]
+    return number
+
+
+# ----------------------------------------------------------------------
+# Determinism hazards across calls: flagged where the source is read
+# ----------------------------------------------------------------------
+def test_wallclock_chain_two_calls_deep_fires_rep120():
+    helper = "repro/experiments/entropy_relay.py"
+    findings = findings_for([
+        "repro/experiments/bad_relay_seed.py", helper,
+    ])
+    # The seed sink is two calls and one module away from the read;
+    # the read itself is the one finding.
+    assert [(f.rule, f.path, f.line) for f in findings] == [
+        ("REP101", helper, line_of(helper, "time.time_ns()"))
+    ]
+    assert "time.time_ns" in findings[0].message
+    assert rules_fired(["repro/experiments/bad_relay_seed.py"]) == set()
+
+
+def test_good_chain_is_silent():
+    # Seeds derived from the caller's master seed read no clock.
+    assert "REP101" not in rules_fired([ENTROPY_GOOD])
+
+
+def test_unseeded_random_into_seed_kwarg_fires_rep121():
+    findings = findings_for([ENTROPY_BAD], ["REP102"])
+    assert ("REP102", line_of(ENTROPY_BAD, "random.Random()")) in {
+        (f.rule, f.line) for f in findings
+    }
+    assert any("unseeded random.Random" in f.message for f in findings)
+
+
+def test_good_random_seed_is_silent():
+    assert "REP102" not in rules_fired([ENTROPY_GOOD])
+
+
+def test_env_for_output_paths_is_silent():
+    # An environment variable that only picks an output directory is
+    # no determinism hazard; keys are guarded at run time instead.
+    assert line_of(ENTROPY_GOOD, "os.environ")
+    assert rules_fired([ENTROPY_GOOD]) == set()
+
+
+def test_set_order_into_journal_fires_rep123():
+    findings = findings_for([ENTROPY_BAD], ["REP104"])
+    assert [(f.rule, f.line) for f in findings] == [
+        ("REP104", line_of(ENTROPY_BAD, "for name in pending"))
+    ]
+
+
+def test_sorted_set_is_silent():
+    assert "REP104" not in rules_fired([ENTROPY_GOOD])
 
 
 # ----------------------------------------------------------------------
