@@ -111,9 +111,21 @@ def extract_classes(tree: ast.AST, module: str) -> List[ClassShape]:
 class _PayloadResolver:
     """Resolves a submit-site payload expression to class/factory names."""
 
-    def __init__(self, imports: ImportMap, assignments: Dict[str, ast.AST]):
+    def __init__(
+        self, imports: ImportMap, assignments: Dict[str, ast.AST],
+        module: str,
+    ):
         self.imports = imports
         self.assignments = assignments
+        self.module = module
+
+    def _callee(self, func: ast.AST) -> str:
+        """Dotted name of a called function or class.  A bare name that
+        no import binds is defined in this module, and is qualified as
+        the project facts key it (``module.build_jobs``)."""
+        if isinstance(func, ast.Name) and func.id not in self.imports.aliases:
+            return f"{self.module}.{func.id}"
+        return self.imports.resolve(func) or ""
 
     def resolve(self, expr: ast.AST, depth: int = 0) -> Tuple[List[str], List[str]]:
         classes: List[str] = []
@@ -121,7 +133,7 @@ class _PayloadResolver:
         if depth > 4:
             return classes, factories
         if isinstance(expr, ast.Call):
-            dotted = self.imports.resolve(expr.func) or ""
+            dotted = self._callee(expr.func)
             base = dotted.rsplit(".", 1)[-1]
             if base and base[0].isupper():
                 classes.append(dotted or base)
@@ -160,7 +172,7 @@ def extract_submit_sites(
         if isinstance(node, ast.Assign) and len(node.targets) == 1 \
                 and isinstance(node.targets[0], ast.Name):
             assignments[node.targets[0].id] = node.value
-    payload_resolver = _PayloadResolver(imports, assignments)
+    payload_resolver = _PayloadResolver(imports, assignments, module)
 
     sites: List[SubmitSite] = []
     for node in ast.walk(tree):

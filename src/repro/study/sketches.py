@@ -85,6 +85,12 @@ class TDigest:
         ``4·W·q·(1-q)/compression`` at its midpoint quantile ``q`` —
         centroids stay small near the tails, so tail quantiles stay
         sharp.
+
+        The pass walks Python floats (``tolist``), whose arithmetic is
+        the same IEEE float64 as numpy scalars' at a fraction of the
+        per-value cost.  A vector test per centroid was measured slower:
+        most centroids hold a few values, and even the long ones cost
+        more in numpy calls than a scalar step per value.
         """
         values = np.asarray(values, dtype=np.float64)
         counts = np.asarray(counts, dtype=np.float64)
@@ -93,24 +99,27 @@ class TDigest:
         if np.any(np.diff(values) < 0):
             raise ValueError("from_counts requires sorted values")
         total = float(counts.sum())
+        scale = 4.0 * total
+        comp = float(compression)
+        value_list = values.tolist()
+        count_list = counts.tolist()
         out_mean: List[float] = []
         out_weight: List[float] = []
-        cur_sum = float(values[0]) * float(counts[0])
-        cur_w = float(counts[0])
+        cur_sum = value_list[0] * count_list[0]
+        cur_w = count_list[0]
         done_w = 0.0
-        for value, count in zip(values[1:], counts[1:]):
-            candidate_w = cur_w + float(count)
+        for value, count in zip(value_list[1:], count_list[1:]):
+            candidate_w = cur_w + count
             q = (done_w + candidate_w / 2.0) / total
-            limit = 4.0 * total * q * (1.0 - q) / float(compression)
-            if candidate_w <= limit:
-                cur_sum += float(value) * float(count)
+            if candidate_w <= scale * q * (1.0 - q) / comp:
+                cur_sum += value * count
                 cur_w = candidate_w
             else:
                 out_mean.append(cur_sum / cur_w)
                 out_weight.append(cur_w)
                 done_w += cur_w
-                cur_sum = float(value) * float(count)
-                cur_w = float(count)
+                cur_sum = value * count
+                cur_w = count
         out_mean.append(cur_sum / cur_w)
         out_weight.append(cur_w)
         means = np.asarray(out_mean)

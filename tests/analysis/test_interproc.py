@@ -128,6 +128,15 @@ def test_factory_return_annotation_names_the_payload_rep130():
     assert "REP130" not in rules_fired(["repro/boundary/bad_factory_payload.py"])
 
 
+def test_same_module_factory_names_the_payload_rep130():
+    fixture = "repro/boundary/bad_local_factory_payload.py"
+    escapes = [f for f in findings_for([fixture]) if f.rule == "REP130"]
+    assert [(f.path, f.line) for f in escapes] == [
+        (fixture, line_of(fixture, "return run_jobs(jobs, _upload)"))
+    ]
+    assert "UploadJob -> guard: Lock" in escapes[0].message
+
+
 # ----------------------------------------------------------------------
 # REP220-series: emit-bus payload schemas
 # ----------------------------------------------------------------------
