@@ -407,10 +407,13 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
             magic=ANALYTICS_JOURNAL_MAGIC, result_type=TraceAnalytics,
         )
     report = FabricReport()
-    analytics = analyze_store(
-        store, keys=keys, jobs=resolve_jobs(args.jobs),
-        journal=journal, report=report,
-    )
+    try:
+        analytics = analyze_store(
+            store, keys=keys, jobs=resolve_jobs(args.jobs),
+            journal=journal, report=report,
+        )
+    except SweepInterrupted as exc:
+        return _interrupted(exc, "analysis", "traces")
     if args.json:
         print(json.dumps(
             {key: a.canonical() for key, a in analytics.items()}, indent=2

@@ -60,9 +60,10 @@ READONLY_ERRNOS = frozenset({errno.EROFS, errno.EACCES, errno.EPERM})
 class StorageReport:
     """What one store's durability layer observed (see docs/robustness.md).
 
-    Every counter is a degradation or recovery event that must stay
-    visible: the CLIs fold these into their ``fabric:`` summaries and
-    ``repro fsck --json`` reports them per store.
+    Every counter is a degradation or recovery event.  The stores read
+    their ``quarantined`` count from here, and the ``repro chaos``
+    storage scenarios check these counters to confirm that each
+    injected fault was recovered from.
     """
 
     #: Artifacts published through the atomic discipline.
@@ -80,22 +81,6 @@ class StorageReport:
     readonly_fallbacks: int = 0
     #: Orphaned staging files removed while republishing an artifact.
     stale_tmp_pruned: int = 0
-
-    def summary(self) -> str:
-        parts = [f"published {self.published}"]
-        if self.verified:
-            parts.append(f"verified {self.verified}")
-        if self.legacy_reads:
-            parts.append(f"legacy reads {self.legacy_reads}")
-        if self.quarantined:
-            parts.append(f"quarantined {self.quarantined}")
-        if self.publish_errors:
-            parts.append(f"publish errors {self.publish_errors}")
-        if self.readonly_fallbacks:
-            parts.append("read-only fallback")
-        if self.stale_tmp_pruned:
-            parts.append(f"stale tmp pruned {self.stale_tmp_pruned}")
-        return ", ".join(parts)
 
 
 def is_readonly_error(exc: OSError) -> bool:

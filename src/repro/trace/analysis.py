@@ -134,10 +134,16 @@ def preemption_stats(
     """
     if until is None:
         until = trace.end_time
+    columns = trace.columns
+    names = columns["names"].tolist()
     events_by_victor: Dict[str, List[Tuple[Time, str]]] = defaultdict(list)
-    for time, victim, victor, _core in trace.preemptions:
-        if time <= until and victim_selector(victim):
-            events_by_victor[victor].append((time, victim))
+    for time, victim, victor in zip(
+        columns["pre_time"].tolist(),
+        columns["pre_victim"].tolist(),
+        columns["pre_victor"].tolist(),
+    ):
+        if time <= until and victim_selector(names[victim]):
+            events_by_victor[names[victor]].append((time, names[victim]))
 
     tilings: Dict[str, Tiling] = {}
 

@@ -12,27 +12,40 @@ stores what Perfetto would capture from ftrace on a real device:
 Because the simulator records its own ground-truth schedule, the §5
 analyses computed from these traces are exact rather than sampled.
 
-A recorder can be :meth:`~TraceRecorder.detach`-ed once its window of
-interest has passed: the subscriptions come off the emit bus (so the
-rest of the session stops paying the subscribed-emit cost), counter
-sampling stops, and the trace's :attr:`~TraceRecorder.end_time` freezes
-at the detach instant — which is also the precondition for persisting
-it with :func:`repro.trace.store.save_trace`.
+Events are kept as ints from the moment they are recorded: per thread,
+an ``array`` of int64 ticks and one of int8 state codes; preemption and
+rotation rows as ticks and cores plus the two thread names.  From those
+the recorder builds the trace store's column groups
+(:data:`~repro.trace.view.EVENT_COLUMNS`) — on every read while it is
+attached, and once for good at :meth:`~TraceRecorder.detach`, when the
+record-time buffers are dropped.
+
+Detaching also takes the subscriptions off the emit bus (so the rest
+of the session stops paying the subscribed-emit cost), stops counter
+sampling, and freezes the trace's :attr:`~TraceRecorder.end_time` at
+the detach instant — which is also the precondition for persisting it
+with :func:`repro.trace.store.save_trace`.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..sched.scheduler import Thread
 from ..sched.states import ThreadState
 from ..sim.clock import Time, seconds
 from ..sim.engine import Simulator
 from ..sim.periodic import PeriodicService
-from .view import Preemption, ThreadColumns, TraceView, Transition
+from .view import STATE_INDEX, TraceView
 
-__all__ = ["Preemption", "TraceRecorder", "Transition"]
+__all__ = ["TraceRecorder"]
+
+#: (ticks, victim names, victor names, cores) of displacement rows.
+_Rows = Tuple["array[int]", List[str], List[str], "array[int]"]
 
 
 class TraceRecorder(TraceView):
@@ -41,17 +54,19 @@ class TraceRecorder(TraceView):
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
         self.start_time: Time = sim.now
-        self.transitions: Dict[str, List[Transition]] = defaultdict(list)
-        self.preemptions: List[Preemption] = []
-        self.rotations: List[Preemption] = []
-        self.migrations: Dict[str, int] = defaultdict(int)
         self.counters: Dict[str, List[Tuple[Time, float]]] = defaultdict(list)
-        self.initial_states: Dict[str, ThreadState] = {}
+        #: Thread name -> (initial state code, transition ticks, codes).
+        self._threads: Dict[str, Tuple[int, "array[int]", "array[int]"]] = {}
+        #: ``pre`` (preemptions) / ``rot`` (rotations) -> their rows.
+        self._rows: Dict[str, _Rows] = {
+            prefix: (array("q"), [], [], array("q")) for prefix in ("pre", "rot")
+        }
+        self._migrations: Dict[str, int] = defaultdict(int)
         self._counter_fns: List[Tuple[str, Callable[[], float]]] = []
         self._sampler: Optional[PeriodicService] = None
         self._end_time: Optional[Time] = None
-        #: Per-thread columns, kept once detached (see thread_columns).
-        self._columns: Dict[str, ThreadColumns] = {}
+        #: The columns built at detach.
+        self._frozen: Optional[Dict[str, np.ndarray]] = None
         sim.on("sched.state", self._on_state)
         sim.on("sched.preempt", self._on_preempt)
         sim.on("sched.migrate", self._on_migrate)
@@ -64,6 +79,13 @@ class TraceRecorder(TraceView):
     @property
     def detached(self) -> bool:
         return self._end_time is not None
+
+    @property
+    def columns(self) -> Dict[str, np.ndarray]:
+        """Built afresh on each read while attached; fixed by detach."""
+        if self._frozen is None:
+            return self._build_columns()
+        return self._frozen
 
     def detach(self) -> None:
         """Stop recording: unsubscribe, end sampling, freeze the span.
@@ -84,30 +106,87 @@ class TraceRecorder(TraceView):
         if self._sampler is not None:
             self._sampler.stop()
             self._sampler = None
+        self._frozen = self._build_columns()
+        self._threads.clear()
+        self._rows.clear()
+        self._migrations.clear()
 
-    def thread_columns(self, thread_name: str) -> ThreadColumns:
-        """Columns built from :attr:`transitions`.
+    def _build_columns(self) -> Dict[str, np.ndarray]:
+        """The store's column groups from the record-time buffers."""
+        threads = sorted(self._threads)
+        actors = set(threads)
+        actors.update(self._migrations)
+        for _ticks, victims, victors, _cores in self._rows.values():
+            actors.update(victims)
+            actors.update(victors)
+        names = sorted(actors)
+        table = {name: index for index, name in enumerate(names)}
 
-        While attached the lists still grow, so the columns are built
-        afresh on each call; after :meth:`detach` each thread's are
-        built once and shared by every later query.
-        """
-        if self._end_time is None:
-            return super().thread_columns(thread_name)
-        columns = self._columns.get(thread_name)
-        if columns is None:
-            columns = super().thread_columns(thread_name)
-            self._columns[thread_name] = columns
+        tr_time: "array[int]" = array("q")
+        tr_state: "array[int]" = array("b")
+        tr_offsets = [0]
+        for thread in threads:
+            _initial, ticks, codes = self._threads[thread]
+            tr_time.extend(ticks)
+            tr_state.extend(codes)
+            tr_offsets.append(len(tr_time))
+        migrating = sorted(self._migrations)
+        counter_names = sorted(self.counters)
+        samples = [self.counters[name] for name in counter_names]
+
+        columns: Dict[str, np.ndarray] = {
+            "names": np.array(names, dtype=np.str_),
+            "thread_idx": np.array(
+                [table[thread] for thread in threads], dtype=np.int32
+            ),
+            "thread_initial": np.array(
+                [self._threads[thread][0] for thread in threads],
+                dtype=np.int8,
+            ),
+            "tr_offsets": np.array(tr_offsets, dtype=np.int64),
+            "tr_time": np.array(tr_time, dtype=np.int64),
+            "tr_state": np.array(tr_state, dtype=np.int8),
+            "mig_thread": np.array(
+                [table[thread] for thread in migrating], dtype=np.int32
+            ),
+            "mig_count": np.array(
+                [self._migrations[thread] for thread in migrating],
+                dtype=np.int64,
+            ),
+            "counter_names": np.array(counter_names, dtype=np.str_),
+            "ctr_offsets": np.cumsum(
+                [0] + [len(track) for track in samples], dtype=np.int64
+            ),
+            "ctr_time": np.array(
+                [time for track in samples for time, _ in track],
+                dtype=np.int64,
+            ),
+            "ctr_value": np.array(
+                [value for track in samples for _, value in track],
+                dtype=np.float64,
+            ),
+        }
+        for prefix, (ticks, victims, victors, cores) in self._rows.items():
+            columns[f"{prefix}_time"] = np.array(ticks, dtype=np.int64)
+            columns[f"{prefix}_victim"] = np.array(
+                [table[name] for name in victims], dtype=np.int32
+            )
+            columns[f"{prefix}_victor"] = np.array(
+                [table[name] for name in victors], dtype=np.int32
+            )
+            columns[f"{prefix}_core"] = np.array(cores, dtype=np.int32)
         return columns
 
     # ------------------------------------------------------------------
     # Event capture
     # ------------------------------------------------------------------
     def _on_state(self, time: Time, thread: Thread, old: ThreadState, new: ThreadState) -> None:
-        name = thread.name
-        if name not in self.initial_states:
-            self.initial_states[name] = old
-        self.transitions[name].append((time, new))
+        run = self._threads.get(thread.name)
+        if run is None:
+            run = (STATE_INDEX[old], array("q"), array("b"))
+            self._threads[thread.name] = run
+        run[1].append(time)
+        run[2].append(STATE_INDEX[new])
 
     def _on_preempt(
         self,
@@ -117,15 +196,16 @@ class TraceRecorder(TraceView):
         core: int,
         kind: str = "preempt",
     ) -> None:
-        victor_name = victor.name if victor is not None else "?"
-        record = (time, victim.name, victor_name, core)
-        if kind == "preempt":
-            self.preemptions.append(record)
-        else:
-            self.rotations.append(record)
+        ticks, victims, victors, cores = self._rows[
+            "pre" if kind == "preempt" else "rot"
+        ]
+        ticks.append(time)
+        victims.append(victim.name)
+        victors.append(victor.name if victor is not None else "?")
+        cores.append(core)
 
     def _on_migrate(self, time: Time, thread: Thread, src: int, dst: int) -> None:
-        self.migrations[thread.name] += 1
+        self._migrations[thread.name] += 1
 
     # ------------------------------------------------------------------
     # Counter tracks

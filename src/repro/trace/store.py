@@ -2,14 +2,14 @@
 
 The paper's own method captures Perfetto traces once and mines them
 repeatedly for Tables 4-5 and Figures 13-14; this module gives the
-simulator the same split.  A :class:`~repro.trace.recorder.TraceRecorder`
-serialises to one compact ``.trace.npz`` file — struct-of-arrays column
-groups for transitions, preemptions, rotations, migrations, and counter
-tracks, written atomically like the cohort exporter — and
-:class:`ReplayTrace` loads it back as a
-:class:`~repro.trace.view.TraceView`, so every query in
-:mod:`repro.trace.analysis` runs over the recorded file **without
-re-simulating**, bit-identical to the live recorder.
+simulator the same split.  A trace is held in one column layout from
+record to replay: a :class:`~repro.trace.recorder.TraceRecorder` builds
+the column groups below (:data:`~repro.trace.view.EVENT_COLUMNS`),
+:func:`save_trace` writes them as one compact ``.trace.npz`` file
+(atomically, like the cohort exporter), and :class:`ReplayTrace` serves
+the loaded members as a :class:`~repro.trace.view.TraceView` — so every
+query in :mod:`repro.trace.analysis` runs over the recorded file
+**without re-simulating**, bit-identical to the live recorder.
 
 Traces are content-addressed by ``(session spec digest, trace schema
 version)`` via :func:`trace_key`, extending the result cache's
@@ -45,7 +45,6 @@ from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..sched.states import ThreadState
 from ..sim.clock import Time
 from ..storage import (
     Quarantine,
@@ -54,14 +53,7 @@ from ..storage import (
     verified_read,
     write_sidecar,
 )
-from .view import (
-    STATE_INDEX,
-    STATES,
-    Preemption,
-    ThreadColumns,
-    TraceView,
-    Transition,
-)
+from .view import EVENT_COLUMNS, STATES, TraceView
 
 #: Bump when the column layout or the event semantics change: old trace
 #: files then stop matching their content address and are re-recorded.
@@ -108,94 +100,6 @@ def default_trace_dir() -> Path:
 # Serialisation
 # ======================================================================
 
-def _event_columns(
-    events: List[Preemption], table: Dict[str, int], prefix: str
-) -> Dict[str, np.ndarray]:
-    return {
-        f"{prefix}_time": np.array([e[0] for e in events], dtype=np.int64),
-        f"{prefix}_victim": np.array(
-            [table[e[1]] for e in events], dtype=np.int32
-        ),
-        f"{prefix}_victor": np.array(
-            [table[e[2]] for e in events], dtype=np.int32
-        ),
-        f"{prefix}_core": np.array([e[3] for e in events], dtype=np.int32),
-    }
-
-
-def _columns_from_view(
-    view: TraceView, meta: Optional[Dict[str, Any]] = None
-) -> Dict[str, np.ndarray]:
-    """Flatten a trace into its canonical column groups."""
-    names = set(view.transitions)
-    names.update(view.initial_states)
-    names.update(view.migrations)
-    for events in (view.preemptions, view.rotations):
-        for _time, victim, victor, _core in events:
-            names.add(victim)
-            names.add(victor)
-    name_list = sorted(names)
-    table = {name: index for index, name in enumerate(name_list)}
-
-    threads = sorted(view.transitions)
-    tr_time: List[Time] = []
-    tr_state: List[int] = []
-    tr_offsets = [0]
-    for thread in threads:
-        for time, state in view.transitions[thread]:
-            tr_time.append(time)
-            tr_state.append(STATE_INDEX[state])
-        tr_offsets.append(len(tr_time))
-    initial = [
-        STATE_INDEX[
-            view.initial_states.get(thread, ThreadState.SLEEPING)
-        ]
-        for thread in threads
-    ]
-
-    migrating = sorted(view.migrations)
-    counter_names = sorted(view.counters)
-    ctr_time: List[Time] = []
-    ctr_value: List[float] = []
-    ctr_offsets = [0]
-    for counter in counter_names:
-        for time, value in view.counters[counter]:
-            ctr_time.append(time)
-            ctr_value.append(value)
-        ctr_offsets.append(len(ctr_time))
-
-    columns: Dict[str, np.ndarray] = {
-        "format": np.array([TRACE_SCHEMA_VERSION], dtype=np.int64),
-        "span": np.array(
-            [view.start_time, view.end_time], dtype=np.int64
-        ),
-        "names": np.array(name_list, dtype=np.str_),
-        "thread_idx": np.array(
-            [table[t] for t in threads], dtype=np.int32
-        ),
-        "thread_initial": np.array(initial, dtype=np.int8),
-        "tr_offsets": np.array(tr_offsets, dtype=np.int64),
-        "tr_time": np.array(tr_time, dtype=np.int64),
-        "tr_state": np.array(tr_state, dtype=np.int8),
-        "mig_thread": np.array(
-            [table[t] for t in migrating], dtype=np.int32
-        ),
-        "mig_count": np.array(
-            [view.migrations[t] for t in migrating], dtype=np.int64
-        ),
-        "counter_names": np.array(counter_names, dtype=np.str_),
-        "ctr_offsets": np.array(ctr_offsets, dtype=np.int64),
-        "ctr_time": np.array(ctr_time, dtype=np.int64),
-        "ctr_value": np.array(ctr_value, dtype=np.float64),
-        "meta_json": np.array(
-            [json.dumps(meta or {}, sort_keys=True)], dtype=np.str_
-        ),
-    }
-    columns.update(_event_columns(view.preemptions, table, "pre"))
-    columns.update(_event_columns(view.rotations, table, "rot"))
-    return columns
-
-
 #: Envelope schema tag stored in every trace sidecar.
 TRACE_ENVELOPE_SCHEMA = f"v{TRACE_SCHEMA_VERSION}/trace"
 
@@ -215,7 +119,15 @@ def save_trace(
     or bit-rotted trace is quarantined on read, never analyzed.
     """
     path = Path(path)
-    columns = _columns_from_view(view, meta)
+    events = view.columns
+    columns = {
+        "format": np.array([TRACE_SCHEMA_VERSION], dtype=np.int64),
+        "span": np.array([view.start_time, view.end_time], dtype=np.int64),
+        **{key: events[key] for key in EVENT_COLUMNS},
+        "meta_json": np.array(
+            [json.dumps(meta or {}, sort_keys=True)], dtype=np.str_
+        ),
+    }
 
     def fill(fh: IO[bytes]) -> None:
         np.savez_compressed(fh, **columns)
@@ -231,20 +143,13 @@ def save_trace(
     return path
 
 
-#: The run of a thread with no transitions: empty, initially SLEEPING.
-_NO_RUN = (0, 0, STATE_INDEX[ThreadState.SLEEPING])
-
-
 class ReplayTrace(TraceView):
-    """A recorded trace loaded from disk, analysis-ready.
+    """A recorded trace loaded from disk: its columns plus metadata.
 
-    Keeps the file's columns as loaded: :meth:`thread_columns` serves
-    slices of the ``tr_time``/``tr_state`` arrays, so the queries in
+    :attr:`columns` are the file's members as loaded, so the queries in
     :mod:`repro.trace.analysis` read the same int64/int8 values they
     read from the live recorder the file was saved from, and answer
-    bit-identically.  The native Python containers of the
-    :class:`~repro.trace.view.TraceView` contract (:attr:`transitions`,
-    the event lists, :attr:`counters`) are built on first access only.
+    bit-identically.
     """
 
     def __init__(self, columns: Dict[str, np.ndarray]) -> None:
@@ -252,19 +157,15 @@ class ReplayTrace(TraceView):
         self.start_time = span[0]
         self._end_time: Time = span[1]
         self._columns = columns
-        self._names: List[str] = columns["names"].tolist()
-        offsets = columns["tr_offsets"].tolist()
-        initial = columns["thread_initial"].tolist()
-        #: Thread name -> (first transition row, end row, initial code).
-        self._runs: Dict[str, Tuple[int, int, int]] = {
-            self._names[index]: (offsets[row], offsets[row + 1], initial[row])
-            for row, index in enumerate(columns["thread_idx"].tolist())
-        }
-        self.migrations = {
-            self._names[index]: count
-            for index, count in zip(
-                columns["mig_thread"].tolist(), columns["mig_count"].tolist()
-            )
+        offsets = columns["ctr_offsets"].tolist()
+        times = columns["ctr_time"].tolist()
+        values = columns["ctr_value"].tolist()
+        self.counters = {
+            name: [
+                (times[i], values[i])
+                for i in range(offsets[row], offsets[row + 1])
+            ]
+            for row, name in enumerate(columns["counter_names"].tolist())
         }
         meta = json.loads(str(columns["meta_json"][0]))
         #: Free-form metadata recorded at save time (spec digest, ...).
@@ -275,87 +176,8 @@ class ReplayTrace(TraceView):
         return self._end_time
 
     @property
-    def thread_count(self) -> int:
-        """Threads with at least one transition."""
-        return len(self._runs)
-
-    @property
-    def transition_count(self) -> int:
-        """Transitions over all threads."""
-        return int(self._columns["tr_offsets"][-1])
-
-    def thread_names(self) -> List[str]:
-        return sorted(self._runs)
-
-    def thread_columns(self, thread_name: str) -> ThreadColumns:
-        start, stop, initial = self._runs.get(thread_name, _NO_RUN)
-        return ThreadColumns(
-            self._columns["tr_time"][start:stop],
-            self._columns["tr_state"][start:stop],
-            initial,
-        )
-
-    #: :class:`~repro.trace.view.TraceView` containers decoded from the
-    #: columns on first access, each by its ``_decode_<name>`` method.
-    _DECODED = ("transitions", "initial_states", "preemptions", "rotations",
-                "counters")
-
-    def __getattr__(self, name: str) -> object:
-        # Only reached while ``name`` is not yet an instance attribute:
-        # decode it once, then later reads find the stored value.
-        if name not in ReplayTrace._DECODED:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}"
-            )
-        value: object = getattr(self, f"_decode_{name}")()
-        setattr(self, name, value)
-        return value
-
-    def _decode_transitions(self) -> Dict[str, List[Transition]]:
-        times = self._columns["tr_time"].tolist()
-        codes = self._columns["tr_state"].tolist()
-        return {
-            name: [(times[i], STATES[codes[i]]) for i in range(start, stop)]
-            for name, (start, stop, _initial) in self._runs.items()
-        }
-
-    def _decode_initial_states(self) -> Dict[str, ThreadState]:
-        return {
-            name: STATES[initial]
-            for name, (_start, _stop, initial) in self._runs.items()
-        }
-
-    def _decode_preemptions(self) -> List[Preemption]:
-        return self._events("pre")
-
-    def _decode_rotations(self) -> List[Preemption]:
-        return self._events("rot")
-
-    def _decode_counters(self) -> Dict[str, List[Tuple[Time, float]]]:
-        columns = self._columns
-        offsets = columns["ctr_offsets"].tolist()
-        times = columns["ctr_time"].tolist()
-        values = columns["ctr_value"].tolist()
-        return {
-            name: [
-                (times[i], values[i])
-                for i in range(offsets[row], offsets[row + 1])
-            ]
-            for row, name in enumerate(columns["counter_names"].tolist())
-        }
-
-    def _events(self, prefix: str) -> List[Preemption]:
-        names = self._names
-        columns = self._columns
-        return [
-            (time, names[victim], names[victor], core)
-            for time, victim, victor, core in zip(
-                columns[f"{prefix}_time"].tolist(),
-                columns[f"{prefix}_victim"].tolist(),
-                columns[f"{prefix}_victor"].tolist(),
-                columns[f"{prefix}_core"].tolist(),
-            )
-        ]
+    def columns(self) -> Dict[str, np.ndarray]:
+        return self._columns
 
 
 def load_trace(path: Union[str, Path]) -> ReplayTrace:
@@ -393,21 +215,14 @@ def _load_trace_source(
 
 
 #: Columns every trace file carries (``format`` is checked first).
-_COLUMNS = (
-    "span", "names", "thread_idx", "thread_initial",
-    "tr_offsets", "tr_time", "tr_state", "mig_thread", "mig_count",
-    "counter_names", "ctr_offsets", "ctr_time", "ctr_value", "meta_json",
-    *(f"{prefix}_{field}" for prefix in ("pre", "rot")
-      for field in ("time", "victim", "victor", "core")),
-)
+_COLUMNS = ("span", *EVENT_COLUMNS, "meta_json")
 
 
 def _replay_from_columns(data: Any) -> ReplayTrace:
     """Read every column and check that the groups fit together.
 
     All decompression happens here, so a damaged member fails the load
-    rather than a later query; the Python containers are built lazily
-    by :class:`ReplayTrace`.
+    rather than a later query.
     """
     columns: Dict[str, np.ndarray] = {name: data[name] for name in _COLUMNS}
     for rows, offsets, values in (
@@ -460,39 +275,59 @@ def trace_digest(view: TraceView) -> Dict[str, object]:
     """Reduce a trace to its golden regression digest.
 
     The SHA-256 covers every recorded event in canonical form (state
-    indices, ``repr``-exact counter floats), so it is identical for a
-    live recorder and its round-tripped :class:`ReplayTrace` — drift
-    means either the simulation or the file format changed.
+    codes, thread names, ``repr``-exact counter floats), so it is
+    identical for a live recorder and its round-tripped
+    :class:`ReplayTrace` — drift means either the simulation or the
+    file format changed.
     """
+    columns = view.columns
+    names = columns["names"].tolist()
+    threads = {name: view.thread_columns(name) for name in view.thread_names()}
+    ctr_offsets = columns["ctr_offsets"].tolist()
+    ctr_time = columns["ctr_time"].tolist()
+    ctr_value = columns["ctr_value"].tolist()
+
+    def rows(prefix: str) -> List[List[object]]:
+        return [
+            [time, names[victim], names[victor], core]
+            for time, victim, victor, core in zip(
+                *(columns[f"{prefix}_{field}"].tolist()
+                  for field in ("time", "victim", "victor", "core"))
+            )
+        ]
+
+    migrations = view.migrations
     canonical = {
         "schema": TRACE_SCHEMA_VERSION,
         "span": [view.start_time, view.end_time],
-        "initial": {
-            name: STATE_INDEX[state]
-            for name, state in sorted(view.initial_states.items())
-        },
+        "initial": {name: run.initial for name, run in threads.items()},
         "transitions": {
-            name: [[t, STATE_INDEX[s]] for t, s in view.transitions[name]]
-            for name in sorted(view.transitions)
+            name: [
+                list(pair)
+                for pair in zip(run.times.tolist(), run.states.tolist())
+            ]
+            for name, run in threads.items()
         },
-        "preemptions": [list(e) for e in view.preemptions],
-        "rotations": [list(e) for e in view.rotations],
-        "migrations": dict(sorted(view.migrations.items())),
+        "preemptions": rows("pre"),
+        "rotations": rows("rot"),
+        "migrations": migrations,
         "counters": {
-            name: [[t, repr(v)] for t, v in view.counters[name]]
-            for name in sorted(view.counters)
+            name: [
+                [ctr_time[i], repr(ctr_value[i])]
+                for i in range(ctr_offsets[row], ctr_offsets[row + 1])
+            ]
+            for row, name in enumerate(columns["counter_names"].tolist())
         },
     }
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    transitions = sum(len(v) for v in view.transitions.values())
     return {
         "schema": TRACE_SCHEMA_VERSION,
-        "threads": len(view.transitions),
-        "transitions": transitions,
-        "preemptions": len(view.preemptions),
-        "rotations": len(view.rotations),
-        "migrations": sum(view.migrations.values()),
-        "counter_samples": sum(len(v) for v in view.counters.values()),
+        "threads": len(threads),
+        "transitions": view.transition_count,
+        "preemptions": len(columns["pre_time"]),
+        "rotations": len(columns["rot_time"]),
+        "migrations": sum(migrations.values()),
+        "counter_samples": len(ctr_time),
         "span_ticks": view.end_time - view.start_time,
         "content_sha256": hashlib.sha256(blob.encode()).hexdigest(),
     }

@@ -1,20 +1,20 @@
 """The trace read interface shared by live recording and replay.
 
-:mod:`repro.trace.analysis` answers every §5 question from four event
-families (state transitions, preemptions/rotations, migrations, counter
-tracks) plus the trace's time span.  :class:`TraceView` is that contract
-made concrete: the live :class:`~repro.trace.recorder.TraceRecorder`
-fills it while the simulation runs, and
-:class:`~repro.trace.store.ReplayTrace` fills it from a columnar file on
-disk — so an analysis query cannot tell (and must not care) whether the
-events it walks were recorded five microseconds or five weeks ago.
+A trace has one in-memory form from record to replay: the trace
+store's column groups (:data:`EVENT_COLUMNS`), plus its time span and
+its counter tracks.  :class:`TraceView` answers every §5 question from
+those columns.  The live :class:`~repro.trace.recorder.TraceRecorder`
+builds them from the int ticks and state codes it appends while the
+simulation runs, and :class:`~repro.trace.store.ReplayTrace` reads them
+from a file on disk — so an analysis query cannot tell (and must not
+care) whether the events it walks were recorded five microseconds or
+five weeks ago.
 
-The queries read state transitions through one columnar accessor,
-:meth:`TraceView.thread_columns`: a thread's transition times (int64)
-and state codes (int8) plus its initial state code.  A replayed trace
-serves slices of the arrays it loaded; the recorder builds the same
-arrays from the lists it keeps.  Both views hand the queries identical
-integers, which is what makes their answers bit-identical.
+The queries read state transitions through one accessor,
+:meth:`TraceView.thread_columns`: slices of a thread's transition times
+(int64) and state codes (int8) plus its initial state code.  Both views
+hand the queries identical integers, which is what makes their answers
+bit-identical.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ import numpy as np
 from ..sched.states import ThreadState
 from ..sim.clock import Time
 
-#: A state transition: (time, new_state).
-Transition = Tuple[Time, ThreadState]
-#: A displacement: (time, victim name, victor name, core index).
-Preemption = Tuple[Time, str, str, int]
-
 #: Canonical state encoding: index into the enum's declaration order.
 #: Frozen by the trace schema — reordering ThreadState is a schema
 #: change.
@@ -38,6 +33,21 @@ STATES: Tuple[ThreadState, ...] = tuple(ThreadState)
 STATE_INDEX: Dict[ThreadState, int] = {
     state: index for index, state in enumerate(STATES)
 }
+
+#: The event column groups of a trace (see :mod:`repro.trace.store`):
+#: a sorted name table, per-thread transition runs, migration totals,
+#: flattened counter tracks, and (time, victim, victor, core) rows for
+#: preemptions (``pre_*``) and quantum rotations (``rot_*``).
+EVENT_COLUMNS: Tuple[str, ...] = (
+    "names", "thread_idx", "thread_initial",
+    "tr_offsets", "tr_time", "tr_state", "mig_thread", "mig_count",
+    "counter_names", "ctr_offsets", "ctr_time", "ctr_value",
+    *(f"{prefix}_{field}" for prefix in ("pre", "rot")
+      for field in ("time", "victim", "victor", "core")),
+)
+
+#: The run of a thread with no transitions: empty, initially SLEEPING.
+_NO_RUN = (0, 0, STATE_INDEX[ThreadState.SLEEPING])
 
 
 class ThreadColumns(NamedTuple):
@@ -61,56 +71,91 @@ class Tiling(NamedTuple):
 
 
 class TraceView:
-    """Recorded scheduling events and counter tracks, queryable.
+    """A recorded trace held as the store's column groups, queryable.
 
-    Subclasses populate the data attributes and define the trace's
-    :attr:`end_time`; the interval reconstruction lives here so live
-    and replayed traces share one implementation (and therefore
-    produce bit-identical analysis results on identical event data).
+    Subclasses supply :attr:`columns` and :attr:`end_time`; everything
+    read from the columns lives here, so live and replayed traces share
+    one implementation (and therefore produce bit-identical analysis
+    results on identical event data).
     """
 
     #: First instant covered by the trace.
     start_time: Time
-    #: Per-thread state transitions, in occurrence order.
-    transitions: Dict[str, List[Transition]]
-    #: True mid-slice preemptions by a higher scheduling class.
-    preemptions: List[Preemption]
-    #: Involuntary quantum rotations within the same class.
-    rotations: List[Preemption]
-    #: Core migrations per thread.
-    migrations: Dict[str, int]
     #: Named counter tracks: (sample time, value) per sample.
     counters: Dict[str, List[Tuple[Time, float]]]
-    #: The state each thread was in when first observed.
-    initial_states: Dict[str, ThreadState]
+
+    #: The columns last indexed by :meth:`_thread_runs`, and that index.
+    _index: Optional[
+        Tuple[Dict[str, np.ndarray], Dict[str, Tuple[int, int, int]]]
+    ] = None
 
     @property
     def end_time(self) -> Time:
         """Last instant covered by the trace (analysis' default horizon)."""
         raise NotImplementedError
 
+    @property
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The trace's :data:`EVENT_COLUMNS`, keyed by name."""
+        raise NotImplementedError
+
+    def _thread_runs(
+        self, columns: Dict[str, np.ndarray]
+    ) -> Dict[str, Tuple[int, int, int]]:
+        """Thread name -> (first transition row, end row, initial code),
+        indexed once per ``columns`` mapping."""
+        if self._index is None or self._index[0] is not columns:
+            names = columns["names"].tolist()
+            offsets = columns["tr_offsets"].tolist()
+            initial = columns["thread_initial"].tolist()
+            runs = {
+                names[index]: (offsets[row], offsets[row + 1], initial[row])
+                for row, index in enumerate(columns["thread_idx"].tolist())
+            }
+            self._index = (columns, runs)
+        return self._index[1]
+
     def thread_names(self) -> List[str]:
         """Threads with at least one transition, sorted."""
-        return sorted(self.transitions.keys())
+        return sorted(self._thread_runs(self.columns))
+
+    @property
+    def thread_count(self) -> int:
+        """Threads with at least one transition."""
+        return len(self._thread_runs(self.columns))
+
+    @property
+    def transition_count(self) -> int:
+        """Transitions over all threads."""
+        return int(self.columns["tr_offsets"][-1])
 
     def thread_columns(self, thread_name: str) -> ThreadColumns:
         """``thread_name``'s transitions as int64 times and int8 states.
 
         A thread with no transitions has empty columns and an initial
-        SLEEPING state.  This default builds the columns from
-        :attr:`transitions`; a replayed trace serves its stored arrays.
+        SLEEPING state.
         """
-        events = self.transitions.get(thread_name, [])
-        initial = self.initial_states.get(thread_name, ThreadState.SLEEPING)
-        times = np.fromiter(
-            (time for time, _ in events), dtype=np.int64, count=len(events)
+        columns = self.columns
+        start, stop, initial = self._thread_runs(columns).get(
+            thread_name, _NO_RUN
         )
-        states = np.fromiter(
-            (STATE_INDEX[state] for _, state in events),
-            dtype=np.int8,
-            count=len(events),
+        return ThreadColumns(
+            columns["tr_time"][start:stop],
+            columns["tr_state"][start:stop],
+            initial,
         )
-        return ThreadColumns(times, states, STATE_INDEX[initial])
+
+    @property
+    def migrations(self) -> Dict[str, int]:
+        """Core migrations per thread, in name order."""
+        columns = self.columns
+        names = columns["names"].tolist()
+        return {
+            names[index]: count
+            for index, count in zip(
+                columns["mig_thread"].tolist(), columns["mig_count"].tolist()
+            )
+        }
 
     # ------------------------------------------------------------------
     # Interval reconstruction

@@ -12,7 +12,7 @@ def test_recorder_detached_and_covers_playback():
     assert run.playback_started
     assert run.recorder.detached
     assert run.recorder.end_time > run.recorder.start_time
-    assert run.recorder.transitions  # playback produced events
+    assert run.recorder.transition_count  # playback produced events
     # The kill-log hook outlives the recorder, so the sim may still be
     # tracing — but the recorder's own subscriptions are gone.
     sim = run.recorder.sim
@@ -36,6 +36,6 @@ def test_playback_never_started_yields_empty_trace(monkeypatch):
     assert not run.playback_started
     assert run.recorder.detached
     # The fallback recorder is explicitly empty — it observed nothing.
-    assert not run.recorder.transitions
-    assert not run.recorder.preemptions
+    assert run.recorder.transition_count == 0
+    assert run.recorder.columns["pre_time"].size == 0
     assert run.recorder.start_time == run.recorder.end_time

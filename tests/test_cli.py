@@ -161,3 +161,46 @@ def test_run_record_trace_flag(tmp_path, capsys):
     from repro.trace.store import TraceStore
 
     assert len(TraceStore(store).keys()) == 1
+
+
+def test_trace_analyze_interrupt_exits_130_with_resume_hint(
+    tmp_path, monkeypatch, capsys
+):
+    from pathlib import Path
+
+    from repro.experiments.parallel import SweepInterrupted
+    from repro.trace import replay
+
+    journal = Path(tmp_path / "analyze.journal")
+
+    def interrupted(*args, **kwargs):
+        raise SweepInterrupted(1, 3, journal_path=journal)
+
+    monkeypatch.setattr(replay, "analyze_store", interrupted)
+    code = main(["trace", "analyze", "--store", str(tmp_path / "traces")])
+    assert code == 130
+    err = capsys.readouterr().err
+    assert "analysis interrupted: 1/3 traces checkpointed" in err
+    assert f"--resume (journal: {journal})" in err
+
+
+def test_sweep_record_trace_flag(tmp_path, capsys):
+    from repro.trace.store import TraceStore
+
+    store = str(tmp_path / "traces")
+    argv = [
+        "sweep", "--devices", "nexus5", "--resolutions", "240p",
+        "--fps", "30", "--pressures", "normal", "--duration", "3",
+        "--reps", "2", "--no-cache", "--no-journal", "--json",
+    ]
+    assert main(argv) == 0
+    untraced = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--record-trace", store]) == 0
+    assert json.loads(capsys.readouterr().out) == untraced
+    keys = TraceStore(store).keys()
+    assert len(keys) == 2
+    # Both traces exist and --no-cache keeps no results, so the second
+    # run re-runs the sessions untraced for its report.
+    assert main([*argv, "--record-trace", store]) == 0
+    assert json.loads(capsys.readouterr().out) == untraced
+    assert TraceStore(store).keys() == keys

@@ -1,10 +1,12 @@
 """The §5 queries as they were before they ran on columns: an oracle.
 
-:class:`OracleView` rebuilds intervals one transition at a time from a
-view's ``transitions`` lists (the original ``TraceView.intervals``),
-and the six query bodies below are the original per-interval
-implementations, kept verbatim.  ``test_columnar.py`` checks the
-columnar queries against them result for result.
+:class:`OracleView` decodes a view's columns into per-thread
+``(time, ThreadState)`` lists and ``(time, victim, victor, core)``
+preemption tuples, then rebuilds intervals one transition at a time
+(the original ``TraceView.intervals``); the six query bodies below are
+the original per-interval implementations, kept verbatim.
+``test_columnar.py`` checks the columnar queries against them result
+for result.
 """
 
 from __future__ import annotations
@@ -21,21 +23,51 @@ from repro.trace.replay import (
     TraceAnalytics,
     is_video_thread,
 )
-from repro.trace.view import TraceView
+from repro.trace.view import STATES, TraceView
 
 ThreadFilter = Callable[[str], bool]
 
 
 class OracleView:
-    """A :class:`TraceView` read through its native Python containers."""
+    """A :class:`TraceView` decoded into native Python containers."""
 
     def __init__(self, view: TraceView) -> None:
+        columns = view.columns
+        names = columns["names"].tolist()
+        offsets = columns["tr_offsets"].tolist()
+        times = columns["tr_time"].tolist()
+        codes = columns["tr_state"].tolist()
         self.start_time = view.start_time
         self.end_time = view.end_time
-        self.transitions = view.transitions
-        self.initial_states = view.initial_states
-        self.preemptions = view.preemptions
-        self.migrations = view.migrations
+        self.transitions = {
+            names[index]: [
+                (times[i], STATES[codes[i]])
+                for i in range(offsets[row], offsets[row + 1])
+            ]
+            for row, index in enumerate(columns["thread_idx"].tolist())
+        }
+        self.initial_states = {
+            names[index]: STATES[initial]
+            for index, initial in zip(
+                columns["thread_idx"].tolist(),
+                columns["thread_initial"].tolist(),
+            )
+        }
+        self.preemptions = [
+            (time, names[victim], names[victor], core)
+            for time, victim, victor, core in zip(
+                columns["pre_time"].tolist(),
+                columns["pre_victim"].tolist(),
+                columns["pre_victor"].tolist(),
+                columns["pre_core"].tolist(),
+            )
+        ]
+        self.migrations = {
+            names[index]: count
+            for index, count in zip(
+                columns["mig_thread"].tolist(), columns["mig_count"].tolist()
+            )
+        }
 
     def thread_names(self) -> List[str]:
         return sorted(self.transitions.keys())

@@ -8,6 +8,7 @@ live recorder and on its save/load round trip, for any horizon.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,7 @@ from repro.trace import analysis
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import analyze_view, is_video_thread, record_session_trace
 from repro.trace.store import load_trace, save_trace
-from repro.trace.view import TraceView
+from repro.trace.view import STATE_INDEX, TraceView
 
 from . import interval_oracle as oracle
 
@@ -34,21 +35,55 @@ THREADS = (
 
 
 class HandView(TraceView):
-    """A trace written out by hand, for instants a scheduler rarely hits."""
+    """A trace written out by hand, for instants a scheduler rarely hits.
+
+    ``transitions`` maps each thread (initially SLEEPING) to its
+    ``(time, ThreadState)`` list; ``preemptions`` are ``(time, victim,
+    victor, core)`` rows.  Both are encoded into the store's columns.
+    """
 
     def __init__(self, start, end, transitions, preemptions=()):
         self.start_time = start
         self._end = end
-        self.transitions = transitions
-        self.initial_states = {name: ThreadState.SLEEPING for name in transitions}
-        self.preemptions = list(preemptions)
-        self.rotations = []
-        self.migrations = {}
         self.counters = {}
+        names = sorted(
+            {*transitions, *(n for _, a, b, _ in preemptions for n in (a, b))}
+        )
+        table = {name: index for index, name in enumerate(names)}
+        threads = sorted(transitions)
+        runs = [transitions[name] for name in threads]
+        self._columns = {
+            "names": np.array(names, dtype=np.str_),
+            "thread_idx": np.array([table[t] for t in threads], dtype=np.int32),
+            "thread_initial": np.full(
+                len(threads), STATE_INDEX[ThreadState.SLEEPING], dtype=np.int8
+            ),
+            "tr_offsets": np.cumsum([0] + [len(run) for run in runs]),
+            "tr_time": np.array(
+                [t for run in runs for t, _ in run], dtype=np.int64
+            ),
+            "tr_state": np.array(
+                [STATE_INDEX[s] for run in runs for _, s in run], dtype=np.int8
+            ),
+            "mig_thread": np.array([], dtype=np.int32),
+            "mig_count": np.array([], dtype=np.int64),
+            "pre_time": np.array([e[0] for e in preemptions], dtype=np.int64),
+            "pre_victim": np.array(
+                [table[e[1]] for e in preemptions], dtype=np.int32
+            ),
+            "pre_victor": np.array(
+                [table[e[2]] for e in preemptions], dtype=np.int32
+            ),
+            "pre_core": np.array([e[3] for e in preemptions], dtype=np.int32),
+        }
 
     @property
     def end_time(self):
         return self._end
+
+    @property
+    def columns(self):
+        return self._columns
 
 
 def record(seed, cores, lead_ms, posts, span_ms, classes=None):
@@ -70,14 +105,13 @@ def record(seed, cores, lead_ms, posts, span_ms, classes=None):
 
 
 def transition_times(view):
-    return sorted({t for events in view.transitions.values() for t, _ in events})
+    return sorted(set(view.columns["tr_time"].tolist()))
 
 
 def has_tie(view):
     return any(
-        a[0] == b[0]
-        for events in view.transitions.values()
-        for a, b in zip(events, events[1:])
+        bool((np.diff(view.thread_columns(name).times) == 0).any())
+        for name in view.thread_names()
     )
 
 
@@ -154,7 +188,7 @@ def test_ties_and_preemptions_equal_oracle(tmp_path):
         span_ms=40,
     )
     assert has_tie(recorder), "fixture lost its same-instant transitions"
-    assert recorder.preemptions, "fixture lost its preemptions"
+    assert recorder.columns["pre_time"].size, "fixture lost its preemptions"
     replay = load_trace(save_trace(recorder, tmp_path / "t.trace.npz"))
     for view in (recorder, replay):
         for until in horizons(view, 0) + transition_times(view):
@@ -166,7 +200,7 @@ def test_zero_preemptions_equal_oracle(tmp_path):
         5, 2, 0, [(0, 0, 4), (1, 2, 6), (3, 3, 2)], span_ms=15,
         classes=SchedClass.FOREGROUND,
     )
-    assert recorder.preemptions == []
+    assert recorder.columns["pre_time"].size == 0
     replay = load_trace(save_trace(recorder, tmp_path / "t.trace.npz"))
     for view in (recorder, replay):
         assert analysis.preemption_stats(view, lambda name: True) == []
@@ -212,10 +246,10 @@ def test_thread_without_transitions_is_all_sleeping(tmp_path):
     # Figure 13 query asks about a thread the trace has never seen.
     spec = SessionSpec("nexus6p", "720p", 30, "normal", None, 10.0, 11)
     _result, recorder = record_session_trace(spec)
-    assert "kswapd0" not in recorder.transitions
+    assert "kswapd0" not in recorder.thread_names()
     replay = load_trace(save_trace(recorder, tmp_path / "t.trace.npz"))
     analyze_view(replay)
-    assert "transitions" not in vars(replay), "replay decoded its columns"
+    assert not hasattr(replay, "transitions"), "replay decoded its columns"
     expected = {state: 0.0 for state in ThreadState}
     expected[ThreadState.SLEEPING] = 1.0
     for view in (recorder, replay):

@@ -73,13 +73,14 @@ def test_detach_stops_recording():
     thread.post(millis(1))
     sim.run(until=millis(5))
     recorder.detach()
-    events_at_detach = dict(
-        (name, list(ev)) for name, ev in recorder.transitions.items()
-    )
+    events_at_detach = {
+        key: column.tolist() for key, column in recorder.columns.items()
+    }
+    assert events_at_detach["tr_time"]
     thread.post(millis(1))
     sim.run(until=millis(10))
     assert {
-        name: list(ev) for name, ev in recorder.transitions.items()
+        key: column.tolist() for key, column in recorder.columns.items()
     } == events_at_detach
 
 
@@ -138,6 +139,6 @@ def test_two_recorders_detach_independently():
     thread.post(millis(1))
     sim.run(until=millis(4))
     assert sim.tracing  # second recorder still attached
-    assert len(second.transitions["worker"]) > len(
-        first.transitions["worker"]
+    assert len(second.thread_columns("worker").times) > len(
+        first.thread_columns("worker").times
     )

@@ -3,6 +3,7 @@
 from repro.sched import SchedClass, Scheduler, ThreadState, make_cores
 from repro.sim import Simulator, millis
 from repro.trace.recorder import TraceRecorder
+from repro.trace.view import STATES
 
 
 def make_traced(n_cores=1):
@@ -17,7 +18,7 @@ def test_transitions_recorded():
     thread = sched.spawn("worker")
     thread.post(1000)
     sim.run()
-    states = [state for _, state in recorder.transitions["worker"]]
+    states = [STATES[code] for code in recorder.thread_columns("worker").states]
     assert ThreadState.RUNNING in states
     assert states[-1] is ThreadState.SLEEPING
 
@@ -57,9 +58,13 @@ def test_preemptions_recorded_with_victor():
     fg.post(millis(20) * 1.0)
     sim.schedule(millis(2), io.post, millis(1) * 1.0)
     sim.run()
+    columns = recorder.columns
+    names = columns["names"].tolist()
     assert any(
-        victim == "victim" and victor == "mmcqd"
-        for _, victim, victor, _ in recorder.preemptions
+        names[victim] == "victim" and names[victor] == "mmcqd"
+        for victim, victor in zip(
+            columns["pre_victim"].tolist(), columns["pre_victor"].tolist()
+        )
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched import Scheduler, ThreadState, make_cores
+from repro.sched import Scheduler, make_cores
 from repro.sim import Simulator, millis
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import (
@@ -54,15 +54,26 @@ def test_roundtrip_digest_identical(tmp_path):
 
 
 def test_roundtrip_native_types(tmp_path):
-    recorder = synthetic_trace()
+    sim = Simulator(seed=9)
+    sched = Scheduler(sim, make_cores([1.0]))
+    recorder = TraceRecorder(sim)
+    recorder.track_counter("free_mb", lambda: 1.5)
+    recorder.start_sampling(period=millis(5))
+    sched.spawn("worker").post(millis(4))
+    sim.run(until=millis(12))
+    recorder.detach()
     replay = load_trace(save_trace(recorder, tmp_path / "t.trace.npz"))
-    for events in replay.transitions.values():
-        for time, state in events:
-            assert type(time) is int
-            assert isinstance(state, ThreadState)
-    for time, victim, victor, core in replay.preemptions:
-        assert type(time) is int and type(core) is int
-        assert isinstance(victim, str) and isinstance(victor, str)
+    assert replay.columns.keys() >= recorder.columns.keys()
+    for key, column in recorder.columns.items():
+        assert replay.columns[key].dtype == column.dtype, key
+        assert np.array_equal(replay.columns[key], column), key
+    for name in replay.thread_names():
+        times, states, initial = replay.thread_columns(name)
+        assert times.dtype == np.int64 and states.dtype == np.int8
+        assert type(initial) is int
+    for name, count in replay.migrations.items():
+        assert isinstance(name, str) and type(count) is int
+    assert replay.counters == {"free_mb": [(0, 1.5), (5000, 1.5), (10000, 1.5)]}
     for samples in replay.counters.values():
         for time, value in samples:
             assert type(time) is int and type(value) is float
