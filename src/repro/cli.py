@@ -442,17 +442,18 @@ def cmd_trace_ls(args: argparse.Namespace) -> int:
 
     store = TraceStore(args.store or default_trace_dir())
     rows = []
-    for key, trace in store.iter_traces():
+    for key, header in store.iter_headers():
+        meta = header.meta
         rows.append({
             "key": key,
-            "device": trace.meta.get("device", "?"),
-            "pressure": trace.meta.get("pressure", "?"),
-            "resolution": trace.meta.get("resolution", "?"),
-            "fps": trace.meta.get("fps", 0),
-            "seed": trace.meta.get("seed", -1),
-            "span_s": round(to_seconds(trace.end_time - trace.start_time), 3),
-            "threads": trace.thread_count,
-            "transitions": trace.transition_count,
+            "device": meta.get("device", "?"),
+            "pressure": meta.get("pressure", "?"),
+            "resolution": meta.get("resolution", "?"),
+            "fps": meta.get("fps", 0),
+            "seed": meta.get("seed", -1),
+            "span_s": round(to_seconds(header.end_time - header.start_time), 3),
+            "threads": header.length("thread_idx"),
+            "transitions": header.length("tr_time"),
         })
     if args.json:
         print(json.dumps(rows, indent=2))

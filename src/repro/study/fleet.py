@@ -106,6 +106,36 @@ def _malloc_trim() -> Optional[Any]:
         return None
 
 
+#: glibc ``mallopt`` parameter: the size from which ``malloc`` gives a
+#: buffer its own mapping, unmapped again when the buffer is freed.
+_M_MMAP_THRESHOLD = -3
+
+#: The fixed mmap threshold for cohort work.  Each mapped buffer is
+#: faulted in afresh, so a lower threshold costs time: on the benchmark
+#: fleet 4 MB made the cold phase ~20 % slower, 8 MB about 10 %.
+_MMAP_THRESHOLD_BYTES = 8 << 20
+
+
+@functools.lru_cache(maxsize=None)
+def _pin_mmap_threshold() -> None:
+    """Fix glibc's mmap threshold at :data:`_MMAP_THRESHOLD_BYTES`.
+
+    Left alone, glibc raises the threshold to the largest mapping freed
+    so far (up to 32 MB), so after the first cohort its large numpy
+    temporaries come from the heap, and a cohort's peak then depends on
+    how the heap was laid out before it: the same 4,096-device
+    benchmark fleet peaked at 126 MB, or at 144-148 MB after a change
+    to modules the fleet never calls.  Setting the threshold once also
+    switches the raising off, for the whole process, like the trim.  A
+    no-op where the C library has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+
+
 def _release_freed_memory() -> None:
     """Hand the heap pages that freed buffers leave behind back to the OS.
 
@@ -128,6 +158,7 @@ def run_cohort_job(job: CohortJob) -> CohortResult:
     Fires the job's fault point first (chaos harness, supervision
     tests), mirroring ``run_spec``.
     """
+    _pin_mmap_threshold()
     plan = active_plan()
     if plan is not None:
         plan.fire(f"job:{cohort_job_key(job)}")

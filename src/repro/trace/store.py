@@ -4,12 +4,12 @@ The paper's own method captures Perfetto traces once and mines them
 repeatedly for Tables 4-5 and Figures 13-14; this module gives the
 simulator the same split.  A trace is held in one column layout from
 record to replay: a :class:`~repro.trace.recorder.TraceRecorder` builds
-the column groups below (:data:`~repro.trace.view.EVENT_COLUMNS`),
+the ``names`` table and :data:`~repro.trace.view.EVENT_COLUMNS`,
 :func:`save_trace` writes them as one compact ``.trace.npz`` file
 (atomically, like the cohort exporter), and :class:`ReplayTrace` serves
-the loaded members as a :class:`~repro.trace.view.TraceView` — so every
-query in :mod:`repro.trace.analysis` runs over the recorded file
-**without re-simulating**, bit-identical to the live recorder.
+them back as a :class:`~repro.trace.view.TraceView` — so every query in
+:mod:`repro.trace.analysis` runs over the recorded file **without
+re-simulating**, bit-identical to the live recorder.
 
 Traces are content-addressed by ``(session spec digest, trace schema
 version)`` via :func:`trace_key`, extending the result cache's
@@ -19,18 +19,22 @@ atomic writes, corrupt entries quarantined — moved, never deleted) and
 the golden-digest suite locks the format with :func:`trace_digest`.
 
 Format (schema-versioned; a mismatch on load is an error, not a guess):
+five npz members, as numpy reads each through its own zip entry and
+``.npy`` header.  Each column is the next slice of its dtype group.
 
-======================  ================================================
-``format``              ``[TRACE_SCHEMA_VERSION]``
-``span``                ``[start_time, end_time]`` in ticks
-``names``               global string table (threads + preemption actors)
-``thread_idx/initial``  threads with transitions, sorted by name
-``tr_offsets/time/state``  flattened per-thread transition runs
-``pre_*``, ``rot_*``    (time, victim, victor, core) event rows
-``mig_thread/count``    core-migration totals per thread
-``counter_names``, ``ctr_*``  flattened counter-track samples
-``meta_json``           free-form session metadata (spec digest, ...)
-======================  ================================================
+==============  ========================================================
+``format``      ``[TRACE_SCHEMA_VERSION]``, read and checked first
+``layout``      one JSON string: ``names`` (the global string table of
+                threads and preemption actors), ``span`` (``[start_time,
+                end_time]`` in ticks), ``meta`` (free-form session
+                metadata) and ``columns``, the ``(column, dtype,
+                length)`` of every numeric column in file order
+``int64``       ``tr_offsets``, ``tr_time``, ``mig_count``,
+                ``pre_time``, ``rot_time``, end to end
+``int32``       ``thread_idx``, ``mig_thread`` and the ``pre_*`` /
+                ``rot_*`` victim, victor and core columns
+``int8``        ``thread_initial``, ``tr_state`` (state codes)
+==============  ========================================================
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import IO, Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (IO, Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Tuple, TypeVar, Union)
 
 import numpy as np
 
@@ -57,7 +62,7 @@ from .view import EVENT_COLUMNS, STATES, TraceView
 
 #: Bump when the column layout or the event semantics change: old trace
 #: files then stop matching their content address and are re-recorded.
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 #: Environment override for the default trace-store directory.
 TRACE_DIR_ENV = "REPRO_TRACE_DIR"
@@ -111,7 +116,9 @@ def save_trace(
     *,
     report: Optional[StorageReport] = None,
 ) -> Path:
-    """Write one trace as compressed npz column groups (atomic).
+    """Write one trace as compressed npz members (atomic): the numeric
+    columns end to end in one member per dtype, each one's dtype and
+    length in ``layout``.
 
     Publishes through :mod:`repro.storage` (tmp + fsync + ``os.replace``
     + directory fsync), so a killed recorder never leaves a half-written
@@ -120,17 +127,26 @@ def save_trace(
     """
     path = Path(path)
     events = view.columns
-    columns = {
+    entries: List[Tuple[str, str, int]] = []
+    groups: Dict[str, List[np.ndarray]] = {}
+    for name, column in events.items():
+        if name != "names":
+            entries.append((name, column.dtype.name, len(column)))
+            groups.setdefault(column.dtype.name, []).append(column)
+    layout = {
+        "names": events["names"].tolist(),
+        "span": [view.start_time, view.end_time],
+        "meta": meta or {},
+        "columns": entries,
+    }
+    members = {
         "format": np.array([TRACE_SCHEMA_VERSION], dtype=np.int64),
-        "span": np.array([view.start_time, view.end_time], dtype=np.int64),
-        **{key: events[key] for key in EVENT_COLUMNS},
-        "meta_json": np.array(
-            [json.dumps(meta or {}, sort_keys=True)], dtype=np.str_
-        ),
+        "layout": np.array([json.dumps(layout, sort_keys=True)], dtype=np.str_),
+        **{dtype: np.concatenate(parts) for dtype, parts in groups.items()},
     }
 
     def fill(fh: IO[bytes]) -> None:
-        np.savez_compressed(fh, **columns)
+        np.savez_compressed(fh, **members)
 
     digest = publish_via(path, fill, surface="trace-store", report=report)
     write_sidecar(
@@ -143,33 +159,37 @@ def save_trace(
     return path
 
 
+class TraceHeader(NamedTuple):
+    """What a trace file holds apart from its numeric groups."""
+
+    start_time: Time
+    end_time: Time
+    #: The global string table (threads and preemption actors).
+    names: List[str]
+    #: Free-form metadata recorded at save time (spec digest, ...).
+    meta: Dict[str, Any]
+    #: (column, dtype, length) of every numeric column, in file order.
+    layout: List[Tuple[str, str, int]]
+
+    def length(self, column: str) -> int:
+        return next(n for name, _, n in self.layout if name == column)
+
+
 class ReplayTrace(TraceView):
     """A recorded trace loaded from disk: its columns plus metadata.
 
-    :attr:`columns` are the file's members as loaded, so the queries in
-    :mod:`repro.trace.analysis` read the same int64/int8 values they
-    read from the live recorder the file was saved from, and answer
-    bit-identically.
+    :attr:`columns` are slices of the file's dtype groups, so the
+    queries in :mod:`repro.trace.analysis` read the same int64/int32/int8
+    values they read from the live recorder the file was saved from,
+    and answer bit-identically.
     """
 
-    def __init__(self, columns: Dict[str, np.ndarray]) -> None:
-        span = columns["span"].tolist()
-        self.start_time = span[0]
-        self._end_time: Time = span[1]
+    def __init__(self, columns: Dict[str, np.ndarray], header: TraceHeader) -> None:
+        self.start_time = header.start_time
+        self._end_time: Time = header.end_time
         self._columns = columns
-        offsets = columns["ctr_offsets"].tolist()
-        times = columns["ctr_time"].tolist()
-        values = columns["ctr_value"].tolist()
-        self.counters = {
-            name: [
-                (times[i], values[i])
-                for i in range(offsets[row], offsets[row + 1])
-            ]
-            for row, name in enumerate(columns["counter_names"].tolist())
-        }
-        meta = json.loads(str(columns["meta_json"][0]))
         #: Free-form metadata recorded at save time (spec digest, ...).
-        self.meta: Dict[str, Any] = meta if isinstance(meta, dict) else {}
+        self.meta: Dict[str, Any] = header.meta
 
     @property
     def end_time(self) -> Time:
@@ -188,56 +208,89 @@ def load_trace(path: Union[str, Path]) -> ReplayTrace:
     :class:`TraceStore`) catch it and quarantine.
     """
     path = Path(path)
-    return _load_trace_source(path, label=str(path))
+    return _decode(path, str(path), _replay_from_columns)
 
 
-def load_trace_bytes(data: bytes, *, label: str = "<bytes>") -> ReplayTrace:
-    """Decode an in-memory trace payload (already checksum-verified)."""
-    return _load_trace_source(io.BytesIO(data), label=label)
+_T = TypeVar("_T")
 
 
-def _load_trace_source(
-    source: Union[Path, IO[bytes]], *, label: str
-) -> ReplayTrace:
+def _decode(source: Union[Path, IO[bytes]], label: str,
+            read: Callable[[Any, TraceHeader], _T]) -> _T:
+    """Open a trace file, read its header, then ``read(members, header)``."""
     try:
         with np.load(source) as data:
-            fmt = int(data["format"][0]) if "format" in data else -1
-            if fmt != TRACE_SCHEMA_VERSION:
-                raise TraceFormatError(
-                    f"{label}: trace schema {fmt}, "
-                    f"expected {TRACE_SCHEMA_VERSION}"
-                )
-            return _replay_from_columns(data)
+            return read(data, _read_header(data, label))
     except TraceFormatError:
         raise
     except Exception as exc:
         raise TraceFormatError(f"{label}: unreadable trace ({exc!r})") from exc
 
 
-#: Columns every trace file carries (``format`` is checked first).
-_COLUMNS = ("span", *EVENT_COLUMNS, "meta_json")
+#: The numeric group members, one per dtype.
+_GROUPS = tuple(dict.fromkeys(EVENT_COLUMNS.values()))
+
+#: Columns of one row each, which must all have the same length.
+_ROWS = (("thread_idx", "thread_initial"), ("tr_time", "tr_state"),
+         ("mig_thread", "mig_count"),
+         *((f"{p}_time", f"{p}_victim", f"{p}_victor", f"{p}_core")
+           for p in ("pre", "rot")))
 
 
-def _replay_from_columns(data: Any) -> ReplayTrace:
-    """Read every column and check that the groups fit together.
+def _read_header(data: Any, label: str) -> TraceHeader:
+    """Check ``format``, then decode and check ``layout``; reads no
+    numeric group."""
+    fmt = int(data["format"][0]) if "format" in data else -1
+    if fmt != TRACE_SCHEMA_VERSION:
+        raise TraceFormatError(
+            f"{label}: trace schema {fmt}, expected {TRACE_SCHEMA_VERSION}"
+        )
+    layout = json.loads(str(data["layout"][0]))
+    start, end = layout["span"]
+    names, meta = layout["names"], layout["meta"]
+    if not (type(start) is type(end) is int and isinstance(meta, dict)
+            and isinstance(names, list)
+            and all(isinstance(name, str) for name in names)):
+        raise ValueError("layout span, names or meta malformed")
+    entries = [(name, dtype, length) for name, dtype, length in layout["columns"]]
+    lengths = {name: length for name, _, length in entries}
+    if sorted(name for name, _, _ in entries) != sorted(EVENT_COLUMNS):
+        raise ValueError("layout does not name every trace column once")
+    for name, dtype, length in entries:
+        if dtype != EVENT_COLUMNS[name] or type(length) is not int or length < 0:
+            raise ValueError(f"layout has {name} as {dtype}[{length}], "
+                             f"expected {EVENT_COLUMNS[name]}")
+    for row in _ROWS:
+        if len({lengths[name] for name in row}) != 1:
+            raise ValueError(f"columns {', '.join(row)} differ in length")
+    return TraceHeader(start, end, names, meta, entries)
 
-    All decompression happens here, so a damaged member fails the load
-    rather than a later query.
-    """
-    columns: Dict[str, np.ndarray] = {name: data[name] for name in _COLUMNS}
-    for rows, offsets, values in (
-        ("thread_idx", "tr_offsets", "tr_time"),
-        ("counter_names", "ctr_offsets", "ctr_time"),
+
+def _replay_from_columns(data: Any, header: TraceHeader) -> ReplayTrace:
+    """Slice every column out of its dtype group and check that the
+    columns fit together: all decompression happens here, so a damaged
+    member fails the load rather than a later query."""
+    columns: Dict[str, np.ndarray] = {
+        "names": np.array(header.names, dtype=np.str_)
+    }
+    groups = {dtype: data[dtype] for dtype in _GROUPS}
+    used = dict.fromkeys(groups, 0)
+    for name, dtype, length in header.layout:
+        start = used[dtype]
+        used[dtype] = start + length
+        columns[name] = groups[dtype][start:start + length]
+    for dtype, group in groups.items():
+        if group.dtype != dtype or group.shape != (used[dtype],):
+            raise ValueError(f"{dtype} group is {group.dtype}"
+                             f"{list(group.shape)}, layout says {used[dtype]}")
+    bounds = columns["tr_offsets"].tolist()
+    if bounds[:1] != [0] or bounds[-1] != len(columns["tr_time"]) or (
+        len(bounds) != len(columns["thread_idx"]) + 1
     ):
-        bounds = columns[offsets].tolist()
-        if bounds[:1] != [0] or bounds[-1] != len(columns[values]) or (
-            len(bounds) != len(columns[rows]) + 1
-        ):
-            raise ValueError(f"{offsets} does not match {rows}/{values}")
+        raise ValueError("tr_offsets does not match thread_idx/tr_time")
     _check_codes(columns, len(columns["names"]), "thread_idx", "mig_thread",
                  "pre_victim", "pre_victor", "rot_victim", "rot_victor")
     _check_codes(columns, len(STATES), "tr_state", "thread_initial")
-    return ReplayTrace(columns)
+    return ReplayTrace(columns, header)
 
 
 def _check_codes(
@@ -275,7 +328,7 @@ def trace_digest(view: TraceView) -> Dict[str, object]:
     """Reduce a trace to its golden regression digest.
 
     The SHA-256 covers every recorded event in canonical form (state
-    codes, thread names, ``repr``-exact counter floats), so it is
+    codes, thread names, int ticks), so it is
     identical for a live recorder and its round-tripped
     :class:`ReplayTrace` — drift means either the simulation or the
     file format changed.
@@ -283,9 +336,6 @@ def trace_digest(view: TraceView) -> Dict[str, object]:
     columns = view.columns
     names = columns["names"].tolist()
     threads = {name: view.thread_columns(name) for name in view.thread_names()}
-    ctr_offsets = columns["ctr_offsets"].tolist()
-    ctr_time = columns["ctr_time"].tolist()
-    ctr_value = columns["ctr_value"].tolist()
 
     def rows(prefix: str) -> List[List[object]]:
         return [
@@ -311,13 +361,6 @@ def trace_digest(view: TraceView) -> Dict[str, object]:
         "preemptions": rows("pre"),
         "rotations": rows("rot"),
         "migrations": migrations,
-        "counters": {
-            name: [
-                [ctr_time[i], repr(ctr_value[i])]
-                for i in range(ctr_offsets[row], ctr_offsets[row + 1])
-            ]
-            for row, name in enumerate(columns["counter_names"].tolist())
-        },
     }
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return {
@@ -327,7 +370,6 @@ def trace_digest(view: TraceView) -> Dict[str, object]:
         "preemptions": len(columns["pre_time"]),
         "rotations": len(columns["rot_time"]),
         "migrations": sum(migrations.values()),
-        "counter_samples": len(ctr_time),
         "span_ticks": view.end_time - view.start_time,
         "content_sha256": hashlib.sha256(blob.encode()).hexdigest(),
     }
@@ -375,6 +417,11 @@ class TraceStore:
         return save_trace(view, self.path_for(key), meta, report=self.report)
 
     def load(self, key: str) -> Optional[ReplayTrace]:
+        return self._read(key, _replay_from_columns)
+
+    def _read(
+        self, key: str, read: Callable[[Any, TraceHeader], _T]
+    ) -> Optional[_T]:
         path = self.path_for(key)
         data = verified_read(
             path, quarantine=self._q, expected_schema=TRACE_ENVELOPE_SCHEMA
@@ -382,7 +429,7 @@ class TraceStore:
         if data is None:
             return None
         try:
-            return load_trace_bytes(data, label=str(path))
+            return _decode(io.BytesIO(data), str(path), read)
         except TraceFormatError as exc:
             # Checksum-clean (or legacy, unverifiable) bytes that still
             # fail to decode: quarantine and treat as missing so the
@@ -398,10 +445,11 @@ class TraceStore:
             if QUARANTINE_DIR not in path.parts
         )
 
-    def iter_traces(self) -> Iterator[Tuple[str, ReplayTrace]]:
-        """Stream (key, trace) pairs; corrupt entries are quarantined
-        and skipped."""
+    def iter_headers(self) -> Iterator[Tuple[str, TraceHeader]]:
+        """Stream (key, header) pairs, decoding only each file's
+        ``format`` and ``layout`` after its envelope check; corrupt or
+        wrong-schema entries are quarantined and skipped."""
         for key in self.keys():
-            trace = self.load(key)
-            if trace is not None:
-                yield key, trace
+            header = self._read(key, lambda _data, header: header)
+            if header is not None:
+                yield key, header

@@ -1,14 +1,13 @@
 """The trace read interface shared by live recording and replay.
 
 A trace has one in-memory form from record to replay: the trace
-store's column groups (:data:`EVENT_COLUMNS`), plus its time span and
-its counter tracks.  :class:`TraceView` answers every §5 question from
-those columns.  The live :class:`~repro.trace.recorder.TraceRecorder`
-builds them from the int ticks and state codes it appends while the
-simulation runs, and :class:`~repro.trace.store.ReplayTrace` reads them
-from a file on disk — so an analysis query cannot tell (and must not
-care) whether the events it walks were recorded five microseconds or
-five weeks ago.
+store's columns (``names`` and :data:`EVENT_COLUMNS`) plus its time
+span.  :class:`TraceView` answers every §5 question from those columns.
+The live :class:`~repro.trace.recorder.TraceRecorder` builds them from
+the int ticks and state codes it appends while the simulation runs, and
+:class:`~repro.trace.store.ReplayTrace` reads them from a file on disk —
+so an analysis query cannot tell (and must not care) whether the events
+it walks were recorded five microseconds or five weeks ago.
 
 The queries read state transitions through one accessor,
 :meth:`TraceView.thread_columns`: slices of a thread's transition times
@@ -34,17 +33,19 @@ STATE_INDEX: Dict[ThreadState, int] = {
     state: index for index, state in enumerate(STATES)
 }
 
-#: The event column groups of a trace (see :mod:`repro.trace.store`):
-#: a sorted name table, per-thread transition runs, migration totals,
-#: flattened counter tracks, and (time, victim, victor, core) rows for
-#: preemptions (``pre_*``) and quantum rotations (``rot_*``).
-EVENT_COLUMNS: Tuple[str, ...] = (
-    "names", "thread_idx", "thread_initial",
-    "tr_offsets", "tr_time", "tr_state", "mig_thread", "mig_count",
-    "counter_names", "ctr_offsets", "ctr_time", "ctr_value",
-    *(f"{prefix}_{field}" for prefix in ("pre", "rot")
-      for field in ("time", "victim", "victor", "core")),
-)
+#: The numeric event columns of a trace and their dtypes (see
+#: :mod:`repro.trace.store`): per-thread transition runs, migration
+#: totals, and (time, victim, victor, core) rows for preemptions
+#: (``pre_*``) and quantum rotations (``rot_*``).  Thread and actor
+#: columns index the sorted ``names`` string table, the one other column.
+EVENT_COLUMNS: Dict[str, str] = {
+    "thread_idx": "int32", "thread_initial": "int8",
+    "tr_offsets": "int64", "tr_time": "int64", "tr_state": "int8",
+    "mig_thread": "int32", "mig_count": "int64",
+    **{f"{prefix}_{field}": "int64" if field == "time" else "int32"
+       for prefix in ("pre", "rot")
+       for field in ("time", "victim", "victor", "core")},
+}
 
 #: The run of a thread with no transitions: empty, initially SLEEPING.
 _NO_RUN = (0, 0, STATE_INDEX[ThreadState.SLEEPING])
@@ -81,8 +82,6 @@ class TraceView:
 
     #: First instant covered by the trace.
     start_time: Time
-    #: Named counter tracks: (sample time, value) per sample.
-    counters: Dict[str, List[Tuple[Time, float]]]
 
     #: The columns last indexed by :meth:`_thread_runs`, and that index.
     _index: Optional[
@@ -96,7 +95,7 @@ class TraceView:
 
     @property
     def columns(self) -> Dict[str, np.ndarray]:
-        """The trace's :data:`EVENT_COLUMNS`, keyed by name."""
+        """``names`` and the trace's :data:`EVENT_COLUMNS`, keyed by name."""
         raise NotImplementedError
 
     def _thread_runs(

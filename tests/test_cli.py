@@ -133,6 +133,84 @@ def test_trace_ls_counts_match_trace_digest(tmp_path, capsys):
     assert row["transitions"] == digest["transitions"] > 0
 
 
+def _store_with_traces(root, count):
+    """A trace store holding ``count`` small recorded traces; their keys."""
+    from repro.sched import Scheduler, make_cores
+    from repro.sim import Simulator, millis
+    from repro.trace import TraceRecorder, TraceStore, trace_key
+
+    store = TraceStore(root)
+    keys = []
+    for seed in range(count):
+        sim = Simulator(seed=seed)
+        sched = Scheduler(sim, make_cores([1.0]))
+        recorder = TraceRecorder(sim)
+        sched.spawn("worker").post(millis(2))
+        sim.run(until=millis(5))
+        recorder.detach()
+        keys.append(trace_key(f"{seed:064x}"))
+        store.save(keys[-1], recorder, meta={"device": "nexus5"})
+    return sorted(keys)
+
+
+def test_trace_ls_inflates_no_group_member(tmp_path, capsys, monkeypatch):
+    import zipfile
+
+    root = tmp_path / "traces"
+    keys = _store_with_traces(root, 2)
+    opened = []
+    real_open = zipfile.ZipFile.open
+
+    def spy(self, name, *args, **kwargs):
+        opened.append(getattr(name, "filename", name))
+        return real_open(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile.ZipFile, "open", spy)
+    assert main(["trace", "ls", "--store", str(root), "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["key"] for row in rows] == keys
+    assert all(row["threads"] > 0 and row["transitions"] > 0 for row in rows)
+    assert sorted(opened) == ["format.npy", "format.npy",
+                              "layout.npy", "layout.npy"]
+
+
+@pytest.mark.parametrize("envelope", [True, False],
+                         ids=["with-envelope", "without-envelope"])
+def test_trace_ls_quarantines_schema_1_file_once(tmp_path, capsys, envelope):
+    import warnings
+
+    import numpy as np
+
+    from repro.storage import sha256_hex, write_sidecar
+
+    root = tmp_path / "traces"
+    keys = _store_with_traces(root, 2)
+    old = root / "ab" / f"{'ab' * 32}.trace.npz"
+    old.parent.mkdir(exist_ok=True)
+    # Schema 1 wrote one npz member per column, counter tracks included.
+    np.savez_compressed(
+        old, format=np.array([1]), span=np.array([0, 5000]),
+        names=np.array(["worker"]), thread_idx=np.array([0], dtype=np.int32),
+        tr_offsets=np.array([0, 0]), counter_names=np.array([], dtype=np.str_),
+        ctr_time=np.array([], dtype=np.int64), meta_json=np.array(["{}"]),
+    )
+    if envelope:
+        write_sidecar(old, kind="trace-store", schema="v1/trace",
+                      digest=sha256_hex(old.read_bytes()),
+                      size=old.stat().st_size)
+    with pytest.warns(RuntimeWarning) as caught:
+        assert main(["trace", "ls", "--store", str(root), "--json"]) == 0
+    assert len([w for w in caught if w.category is RuntimeWarning]) == 1
+    assert [row["key"] for row in json.loads(capsys.readouterr().out)] == keys
+    quarantined = sorted(p.name for p in (root / "quarantine").iterdir())
+    assert quarantined[0] == old.name and len(quarantined) == 1 + envelope
+    # Quarantined once: a second listing finds nothing more to move.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["trace", "ls", "--store", str(root), "--json"]) == 0
+    assert [row["key"] for row in json.loads(capsys.readouterr().out)] == keys
+
+
 def test_trace_record_skips_existing(tmp_path, capsys):
     store = str(tmp_path / "traces")
     argv = [

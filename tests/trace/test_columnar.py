@@ -45,7 +45,6 @@ class HandView(TraceView):
     def __init__(self, start, end, transitions, preemptions=()):
         self.start_time = start
         self._end = end
-        self.counters = {}
         names = sorted(
             {*transitions, *(n for _, a, b, _ in preemptions for n in (a, b))}
         )

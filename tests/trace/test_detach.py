@@ -113,20 +113,6 @@ def test_detach_restores_emit_fast_path():
     assert not sim.tracing
 
 
-def test_detach_stops_sampler_and_blocks_restart():
-    sim, _sched, recorder = make_traced()
-    ticks = []
-    recorder.track_counter("x", lambda: float(len(ticks)) or 0.0)
-    recorder.start_sampling(period=millis(1))
-    sim.run(until=millis(3))
-    samples_before = len(recorder.counters["x"])
-    assert samples_before > 0
-    recorder.detach()
-    recorder.start_sampling(period=millis(1))  # refused after detach
-    sim.run(until=millis(6))
-    assert len(recorder.counters["x"]) == samples_before
-
-
 def test_two_recorders_detach_independently():
     sim = Simulator(seed=3)
     sched = Scheduler(sim, make_cores([1.0]))

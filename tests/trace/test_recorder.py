@@ -68,19 +68,6 @@ def test_preemptions_recorded_with_victor():
     )
 
 
-def test_counter_sampling():
-    sim, sched, recorder = make_traced()
-    value = {"x": 0.0}
-    recorder.track_counter("x", lambda: value["x"])
-    recorder.start_sampling(period=millis(100))
-    sim.schedule(millis(250), lambda: value.update(x=5.0))
-    sim.run(until=millis(500))
-    samples = recorder.counters["x"]
-    assert len(samples) >= 4
-    assert samples[0][1] == 0.0
-    assert samples[-1][1] == 5.0
-
-
 def test_migrations_counted():
     sim, sched, recorder = make_traced(n_cores=2)
     # Without forcing migration just verify the dict exists and is

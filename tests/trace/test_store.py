@@ -27,6 +27,7 @@ from repro.trace.store import (
     trace_digest,
     trace_key,
 )
+from repro.trace.view import EVENT_COLUMNS, TraceView
 
 
 def synthetic_trace(seed=9, n_threads=3, until_ms=20):
@@ -57,13 +58,12 @@ def test_roundtrip_native_types(tmp_path):
     sim = Simulator(seed=9)
     sched = Scheduler(sim, make_cores([1.0]))
     recorder = TraceRecorder(sim)
-    recorder.track_counter("free_mb", lambda: 1.5)
-    recorder.start_sampling(period=millis(5))
     sched.spawn("worker").post(millis(4))
     sim.run(until=millis(12))
     recorder.detach()
     replay = load_trace(save_trace(recorder, tmp_path / "t.trace.npz"))
-    assert replay.columns.keys() >= recorder.columns.keys()
+    assert replay.columns.keys() == recorder.columns.keys()
+    assert type(replay.start_time) is int and type(replay.end_time) is int
     for key, column in recorder.columns.items():
         assert replay.columns[key].dtype == column.dtype, key
         assert np.array_equal(replay.columns[key], column), key
@@ -73,10 +73,15 @@ def test_roundtrip_native_types(tmp_path):
         assert type(initial) is int
     for name, count in replay.migrations.items():
         assert isinstance(name, str) and type(count) is int
-    assert replay.counters == {"free_mb": [(0, 1.5), (5000, 1.5), (10000, 1.5)]}
-    for samples in replay.counters.values():
-        for time, value in samples:
-            assert type(time) is int and type(value) is float
+
+
+def test_file_packs_columns_by_dtype(tmp_path):
+    path = save_trace(synthetic_trace(), tmp_path / "t.trace.npz")
+    with np.load(path) as data:
+        assert data.files == ["format", "layout", "int32", "int8", "int64"]
+        layout = json.loads(str(data["layout"][0]))
+    assert [name for name, _, _ in layout["columns"]] == list(EVENT_COLUMNS)
+    assert layout["meta"] == {}
 
 
 def test_roundtrip_analysis_identical_on_session(tmp_path):
@@ -158,30 +163,98 @@ def test_load_rejects_wrong_schema_version(tmp_path):
         load_trace(path)
 
 
+class ColumnsView(TraceView):
+    """``source``'s span served over the given ``columns``."""
+
+    def __init__(self, source, columns):
+        self.start_time = source.start_time
+        self._end_time = source.end_time
+        self._columns = columns
+
+    @property
+    def end_time(self):
+        return self._end_time
+
+    @property
+    def columns(self):
+        return self._columns
+
+
 @pytest.mark.parametrize("damage", [
     lambda c: c.update(tr_offsets=c["tr_offsets"][:-1]),
     lambda c: c.update(tr_offsets=c["tr_offsets"] + 1),
-    lambda c: c.update(ctr_time=c["ctr_time"][:-1]),
+    lambda c: c.update(tr_time=c["tr_time"][:-1], tr_state=c["tr_state"][:-1]),
     lambda c: c.update(tr_state=np.full_like(c["tr_state"], 99)),
     lambda c: c.update(thread_idx=c["thread_idx"] + len(c["names"])),
     lambda c: c.pop("rot_core"),
 ])
 def test_load_rejects_inconsistent_columns(tmp_path, damage):
-    # Tuples are decoded lazily, so a file whose columns do not fit
-    # together must fail at load, not in a later query.
+    # Columns are served as slices of the packed groups, so a file
+    # whose columns do not fit together must fail at load, not in a
+    # later query.  save_trace packs whatever columns it is given.
+    recorder = synthetic_trace()
+    columns = dict(recorder.columns)
+    assert len(columns["tr_time"]) > 0
+    damage(columns)
+    path = save_trace(ColumnsView(recorder, columns), tmp_path / "t.trace.npz")
+    with pytest.raises(TraceFormatError):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("column", ["thread_initial", "tr_state", "pre_core"])
+def test_load_rejects_rows_of_unequal_length(tmp_path, column):
+    recorder = synthetic_trace()
+    columns = dict(recorder.columns)
+    columns[column] = np.append(
+        columns[column], np.zeros(1, dtype=columns[column].dtype)
+    )
+    path = save_trace(ColumnsView(recorder, columns), tmp_path / "t.trace.npz")
+    with pytest.raises(TraceFormatError, match="differ in length"):
+        load_trace(path)
+
+
+def _edit_layout(edit):
+    """A member damage that rewrites the decoded ``layout`` in place."""
+    def damage(members):
+        layout = json.loads(str(members["layout"][0]))
+        edit(layout)
+        members["layout"] = np.array([json.dumps(layout)])
+    return damage
+
+
+def _retype(column, dtype):
+    def edit(layout):
+        for entry in layout["columns"]:
+            if entry[0] == column:
+                entry[1] = dtype
+    return edit
+
+
+@pytest.mark.parametrize("damage, reason", [
+    pytest.param(lambda m: m.update(int64=m["int64"][:-1]),
+                 "int64 group", id="group-shorter-than-layout"),
+    pytest.param(lambda m: m.update(int32=np.append(m["int32"], np.int32(0))),
+                 "int32 group", id="group-longer-than-layout"),
+    pytest.param(lambda m: m.update(int8=m["int8"].astype(np.int16)),
+                 "int8 group", id="group-wrong-dtype"),
+    pytest.param(lambda m: m.pop("int8"), "int8", id="group-missing"),
+    pytest.param(lambda m: m.pop("layout"), "layout", id="layout-missing"),
+    pytest.param(_edit_layout(lambda l: l["columns"].append(l["columns"][0])),
+                 "every trace column once", id="layout-duplicate-column"),
+    pytest.param(_edit_layout(lambda l: l["columns"].append(["ctr_time", "int64", 0])),
+                 "every trace column once", id="layout-unknown-column"),
+    pytest.param(_edit_layout(_retype("thread_idx", "int64")),
+                 "expected int32", id="layout-wrong-dtype"),
+    pytest.param(_edit_layout(lambda l: l.update(names=[1, 2])),
+                 "malformed", id="layout-names-not-strings"),
+])
+def test_load_rejects_inconsistent_packing(tmp_path, damage, reason):
     path = save_trace(synthetic_trace(), tmp_path / "t.trace.npz")
     with np.load(path) as data:
-        columns = dict(data)
-    # The synthetic trace samples no counters: give it one track.
-    columns["counter_names"] = np.array(["free_mb"])
-    columns["ctr_offsets"] = np.array([0, 2])
-    columns["ctr_time"] = np.array([0, 5])
-    columns["ctr_value"] = np.array([1.0, 2.0])
-    np.savez_compressed(path, **columns)
-    assert load_trace(path).counters == {"free_mb": [(0, 1.0), (5, 2.0)]}
-    damage(columns)
-    np.savez_compressed(path, **columns)
-    with pytest.raises(TraceFormatError):
+        members = dict(data)
+    damage(members)
+    np.savez_compressed(path, **members)
+    with pytest.raises(TraceFormatError, match=reason):
         load_trace(path)
 
 
