@@ -319,17 +319,22 @@ class ResultCache:
             self.root, label=f"{surface} at {self.root}", report=self.report
         )
         self._disabled = False
+        self._prefix = os.path.join(self.root, "")
 
     @property
     def quarantined(self) -> int:
         """Corrupt entries moved to quarantine by this cache instance."""
         return self.report.quarantined
 
+    def _entry(self, key: str) -> str:
+        # A plain string: a warm hit builds no Path object.
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.pkl"
+
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+        return Path(self._entry(key))
 
     def get(self, key: str) -> Optional[Any]:
-        path = self.path_for(key)
+        path = self._entry(key)
         data = verified_read(
             path, quarantine=self._q, expected_schema=self.schema
         )

@@ -103,6 +103,10 @@ def fsync_dir(directory: Path) -> None:
             os.close(fd)
 
 
+def sha256_hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _file_sha256(path: Path) -> str:
     hasher = hashlib.sha256()
     with path.open("rb") as fh:
@@ -154,13 +158,16 @@ def publish_via(
     surface: Optional[str] = None,
     do_fsync: bool = True,
     report: Optional[StorageReport] = None,
+    digest: Optional[str] = None,
 ) -> str:
     """Publish whatever ``fill`` writes into a staged handle; returns
     the payload's SHA-256 hex digest.
 
     This is the streaming entry point (npz and gzip writers need a real
     seekable file, so hashing happens by re-reading the staged file —
-    one warm sequential read).  On any error the staged file is removed:
+    one warm sequential read).  A caller that already holds the digest
+    of what ``fill`` writes passes it as ``digest`` and skips that read
+    (:func:`publish_bytes`).  On any error the staged file is removed:
     a failed publish leaves **nothing** behind, not even on ENOSPC.
 
     ``surface`` names the storage fault point (``storage:<surface>``)
@@ -181,7 +188,8 @@ def publish_via(
             if do_fsync:
                 os.fsync(fh.fileno())
         assert tmp is not None
-        digest = _file_sha256(tmp)
+        if digest is None:
+            digest = _file_sha256(tmp)
         fault = claim_storage_fault(surface)
         if fault == "enospc":
             raise OSError(
@@ -231,10 +239,12 @@ def publish_bytes(
     do_fsync: bool = True,
     report: Optional[StorageReport] = None,
 ) -> str:
-    """Atomically publish ``data`` at ``path``; returns its SHA-256."""
+    """Atomically publish ``data`` at ``path``; returns its SHA-256,
+    taken from ``data`` in memory rather than read back from disk."""
     return publish_via(
         path, lambda fh: fh.write(data) and None,  # type: ignore[func-returns-value]
         surface=surface, do_fsync=do_fsync, report=report,
+        digest=sha256_hex(data),
     )
 
 

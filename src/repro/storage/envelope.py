@@ -22,7 +22,6 @@ exceptions out of this module are programming errors.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import warnings
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from .atomic import StorageReport, publish_bytes
+from .atomic import StorageReport, publish_bytes, sha256_hex
 
 #: Version of the sidecar format itself (not of the artifact's schema).
 ENVELOPE_VERSION = 1
@@ -52,13 +51,12 @@ class IntegrityError(RuntimeError):
     """
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sidecar_path(artifact: Union[str, Path]) -> Path:
-    artifact = Path(artifact)
-    return artifact.with_name(artifact.name + SIDECAR_SUFFIX)
+    return Path(os.fspath(artifact) + SIDECAR_SUFFIX)
+
+
+#: Sidecar fields after ``envelope`` and the one type each must have.
+_FIELD_TYPES = (("kind", str), ("schema", str), ("sha256", str), ("bytes", int))
 
 
 @dataclass(frozen=True)
@@ -81,19 +79,25 @@ class Envelope:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "Envelope":
-        if payload.get("envelope") != ENVELOPE_VERSION:
-            raise IntegrityError(
-                f"unsupported envelope version {payload.get('envelope')!r}"
-            )
-        try:
-            return cls(
-                kind=str(payload["kind"]),
-                schema=str(payload["schema"]),
-                sha256=str(payload["sha256"]),
-                size=int(payload["bytes"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IntegrityError(f"malformed envelope: {exc}") from exc
+        """Parse a sidecar payload; every field must have exactly the
+        type :func:`write_sidecar` writes (``True`` is not ``1`` and
+        ``12.9`` is not a size), or the envelope is malformed."""
+        version = payload.get("envelope")
+        if type(version) is not int or version != ENVELOPE_VERSION:
+            raise IntegrityError(f"unsupported envelope version {version!r}")
+        for field, expected in _FIELD_TYPES:
+            value = payload.get(field)
+            if type(value) is not expected:
+                raise IntegrityError(
+                    f"malformed envelope: {field!r} is {value!r}, "
+                    f"not {expected.__name__}"
+                )
+        return cls(
+            kind=payload["kind"],
+            schema=payload["schema"],
+            sha256=payload["sha256"],
+            size=payload["bytes"],
+        )
 
 
 def write_sidecar(
@@ -126,19 +130,21 @@ def read_sidecar(artifact: Union[str, Path]) -> Optional[Envelope]:
     :class:`IntegrityError` — a present-but-garbled envelope is itself
     corruption, and the pair gets quarantined together.
     """
-    path = sidecar_path(artifact)
+    name = os.fspath(artifact) + SIDECAR_SUFFIX
     try:
-        raw = path.read_bytes()
+        with open(name, "rb", buffering=0) as fh:
+            raw = fh.read()
     except FileNotFoundError:
         return None
     except OSError as exc:
-        raise IntegrityError(f"unreadable sidecar {path}: {exc}") from exc
+        raise IntegrityError(f"unreadable sidecar {name}: {exc}") from exc
     try:
+        # Decode first: json.loads(bytes) would also accept UTF-16/32.
         payload = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
-        raise IntegrityError(f"garbled sidecar {path}: {exc}") from exc
+        raise IntegrityError(f"garbled sidecar {name}: {exc}") from exc
     if not isinstance(payload, dict):
-        raise IntegrityError(f"sidecar {path} is not a JSON object")
+        raise IntegrityError(f"sidecar {name} is not a JSON object")
     return Envelope.from_payload(payload)
 
 
@@ -172,8 +178,9 @@ class Quarantine:
     def count(self) -> int:
         return self.report.quarantined
 
-    def take(self, artifact: Path, reason: str) -> None:
+    def take(self, artifact: Union[str, Path], reason: str) -> None:
         """Move ``artifact`` (and its sidecar, if any) into quarantine."""
+        artifact = Path(artifact)
         self.directory.mkdir(parents=True, exist_ok=True)
         moved = False
         for victim in (artifact, sidecar_path(artifact)):
@@ -211,33 +218,37 @@ def verified_read(
     returned as-is with ``legacy_reads`` incremented; the caller's own
     parse-validation is the only line of defence for those, exactly as
     before this layer existed.
+
+    This is every store's warm-hit path, so it runs on the plain string
+    path: no :class:`~pathlib.Path` is built unless the artifact goes
+    to quarantine.  Both files are read unbuffered (one whole-file read
+    each; a buffer in front of it would only add a copy).
     """
-    artifact = Path(artifact)
+    name = os.fspath(artifact)
     report = quarantine.report
     try:
-        data = artifact.read_bytes()
-    except FileNotFoundError:
-        return None
+        with open(name, "rb", buffering=0) as fh:
+            data = fh.read()
     except OSError:
         return None
     try:
-        envelope = read_sidecar(artifact)
+        envelope = read_sidecar(name)
     except IntegrityError as exc:
-        quarantine.take(artifact, str(exc))
+        quarantine.take(name, str(exc))
         return None
     if envelope is None:
         report.legacy_reads += 1
         return data
     if envelope.size != len(data) or envelope.sha256 != sha256_hex(data):
         quarantine.take(
-            artifact,
+            name,
             f"checksum mismatch (have {len(data)} bytes, "
             f"envelope says {envelope.size})",
         )
         return None
     if expected_schema is not None and envelope.schema != expected_schema:
         quarantine.take(
-            artifact,
+            name,
             f"schema drift ({envelope.schema!r} != {expected_schema!r})",
         )
         return None

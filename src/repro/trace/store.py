@@ -396,14 +396,19 @@ class TraceStore:
         self._q = Quarantine(
             self.root, label=f"trace-store at {self.root}", report=self.report
         )
+        self._prefix = os.path.join(self.root, "")
 
     @property
     def quarantined(self) -> int:
         """Corrupt traces moved to quarantine by this store instance."""
         return self.report.quarantined
 
+    def _entry(self, key: str) -> str:
+        # A plain string: a warm load builds no Path object.
+        return f"{self._prefix}{key[:2]}{os.sep}{key}{TRACE_SUFFIX}"
+
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}{TRACE_SUFFIX}"
+        return Path(self._entry(key))
 
     def contains(self, key: str) -> bool:
         return self.path_for(key).exists()
@@ -422,14 +427,14 @@ class TraceStore:
     def _read(
         self, key: str, read: Callable[[Any, TraceHeader], _T]
     ) -> Optional[_T]:
-        path = self.path_for(key)
+        path = self._entry(key)
         data = verified_read(
             path, quarantine=self._q, expected_schema=TRACE_ENVELOPE_SCHEMA
         )
         if data is None:
             return None
         try:
-            return _decode(io.BytesIO(data), str(path), read)
+            return _decode(io.BytesIO(data), path, read)
         except TraceFormatError as exc:
             # Checksum-clean (or legacy, unverifiable) bytes that still
             # fail to decode: quarantine and treat as missing so the

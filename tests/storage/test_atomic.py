@@ -143,3 +143,21 @@ def test_surface_none_opts_out_of_fault_injection(tmp_path):
         with pytest.raises(OSError):
             publish_bytes(tmp_path / "other.bin", PAYLOAD, surface="unit")
     assert path.read_bytes() == PAYLOAD
+
+
+def test_publish_bytes_hashes_in_memory_publish_via_reads_back(
+    tmp_path, monkeypatch
+):
+    from repro.storage import atomic
+
+    read_back = []
+    file_sha256 = atomic._file_sha256
+    monkeypatch.setattr(
+        atomic, "_file_sha256", lambda p: read_back.append(p) or file_sha256(p)
+    )
+    expected = hashlib.sha256(PAYLOAD).hexdigest()
+    assert publish_bytes(tmp_path / "bytes.bin", PAYLOAD) == expected
+    assert read_back == []
+    via = publish_via(tmp_path / "via.bin", lambda fh: fh.write(PAYLOAD))
+    assert via == expected
+    assert len(read_back) == 1
