@@ -91,7 +91,7 @@ def _write_entries(entries: List[Dict[str, Any]], path: Path) -> None:
         ),
         "findings": sorted(entries, key=lambda e: str(e["fingerprint"])),
     }
-    # Atomic publish, no sidecar: the baseline is a committed repo file
+    # Atomic publish, no envelope: the baseline is a committed repo file
     # whose integrity is git's job; atomicity just keeps a Ctrl-C during
     # --update-baseline from leaving a half-written file.
     publish_bytes(

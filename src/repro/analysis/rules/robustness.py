@@ -176,8 +176,9 @@ class DirectArtifactWriteRule(Rule):
     title = "direct artifact write bypasses repro.storage"
     rationale = (
         "Every persisted artifact in the persistence scopes must go "
-        "through repro.storage (publish_via/publish_bytes + envelope "
-        "sidecars): a bare open('w')/write_bytes/write_text publish is "
+        "through repro.storage (publish_via/publish_bytes, sealing a "
+        "checksum envelope): a bare open('w')/write_bytes/write_text "
+        "publish is "
         "non-atomic (a crash leaves a torn file the next run trusts), "
         "unfsynced, and invisible to `repro fsck`.  Route the write "
         "through the storage layer, or carry # repro: noqa[REP111] "

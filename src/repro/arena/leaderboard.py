@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..storage import StorageReport, publish_bytes, write_sidecar
+from ..storage import StorageReport, publish_bytes
 from .driver import ARENA_SCHEMA_VERSION, ArenaConfig, ArenaRecord
 from .policies import get_policy
 from .scoring import OBJECTIVES
@@ -137,6 +137,19 @@ def artifact_bytes(leaderboard: Dict[str, object]) -> bytes:
     return canonical.encode() + b"\n"
 
 
+def verify_artifact(data: bytes, name: str) -> None:
+    """Raise :class:`ValueError` unless ``data`` is exactly the
+    published leaderboard file ``name`` (``repro fsck``'s check): its
+    canonical bytes, with a digest matching payload and file name."""
+    leaderboard = json.loads(data)
+    if not isinstance(leaderboard, dict):
+        raise ValueError("leaderboard is not a JSON object")
+    if artifact_bytes(leaderboard) != data:
+        raise ValueError("leaderboard bytes are not its canonical form")
+    if name != f"leaderboard-{str(leaderboard['digest'])[:16]}.json":
+        raise ValueError("file name does not match the leaderboard digest")
+
+
 def render_table(leaderboard: Dict[str, object]) -> str:
     """The human-facing standings table (stable, fixed-width)."""
     config = leaderboard["config"]
@@ -181,25 +194,17 @@ def write_artifact(
 
     Both files go through the atomic publish discipline: a crash
     mid-write can no longer leave a half-written artifact whose
-    filename claims a digest it doesn't hash to.  The JSON carries a
-    checksum envelope sidecar on top of its embedded self-digest, so
-    ``repro fsck`` can verify a published leaderboard without knowing
-    the arena payload format.
+    filename claims a digest it doesn't hash to.  The JSON keeps its
+    exact canonical bytes (no envelope): ``repro fsck`` verifies it
+    against its embedded self-digest (:func:`verify_artifact`).
     """
     out = Path(out_dir)
     stem = f"leaderboard-{str(leaderboard['digest'])[:16]}"
     json_path = out / f"{stem}.json"
     txt_path = out / f"{stem}.txt"
-    data = artifact_bytes(leaderboard)
-    digest = publish_bytes(
-        json_path, data, surface="leaderboard", report=report
-    )
-    write_sidecar(
-        json_path,
-        kind="arena-leaderboard",
-        schema=f"v{ARENA_SCHEMA_VERSION}",
-        digest=digest,
-        size=len(data),
+    publish_bytes(
+        json_path, artifact_bytes(leaderboard), surface="leaderboard",
+        report=report,
     )
     publish_bytes(
         txt_path,

@@ -910,9 +910,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="store root to scrub (repeatable; default: "
                              "the result cache and trace store)")
     fsck_p.add_argument("--repair", action="store_true",
-                        help="prune orphaned tmp files and dangling "
-                             "sidecars, derive envelopes for legacy "
-                             "artifacts")
+                        help="prune orphaned tmp files and move every "
+                             "artifact that fails verification into "
+                             "its store's quarantine")
     fsck_p.add_argument("--json", action="store_true")
     fsck_p.set_defaults(func=cmd_fsck)
 

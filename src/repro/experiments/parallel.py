@@ -77,11 +77,11 @@ from ..core.session import StreamingSession
 from ..faults import active_plan
 from ..storage import (
     Quarantine,
+    Seal,
     StorageReport,
     is_readonly_error,
     publish_bytes,
     verified_read,
-    write_sidecar,
 )
 from ..video.encoding import VideoAsset
 from ..video.player import SessionResult
@@ -344,9 +344,9 @@ class ResultCache:
         try:
             result = pickle.loads(data)
         except Exception as exc:
-            # Checksum-clean (or legacy, unverifiable) bytes that still
-            # fail to unpickle were written by an incompatible version:
-            # quarantine the entry and recompute.
+            # Checksum-clean bytes that still fail to unpickle were
+            # written by an incompatible version: quarantine the entry
+            # and recompute.
             self._q.take(path, repr(exc))
             self.misses += 1
             return None
@@ -366,15 +366,9 @@ class ResultCache:
         path = self.path_for(key)
         data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            digest = publish_bytes(
-                path, data, surface=self.surface, report=self.report
-            )
-            write_sidecar(
-                path,
-                kind=self.surface,
-                schema=self.schema,
-                digest=digest,
-                size=len(data),
+            publish_bytes(
+                path, data, surface=self.surface, report=self.report,
+                seal=Seal(self.surface, self.schema),
             )
         except OSError as exc:
             # Caching is an optimization; never fail the experiment

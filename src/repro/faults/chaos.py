@@ -428,8 +428,8 @@ class ChaosHarness:
         else:  # pragma: no cover - registry and kinds move together
             raise KeyError(f"unknown storage fault kind {kind!r}")
 
-        # The recovered store must scrub clean: no orphan tmp files, no
-        # dangling sidecars, every artifact matching its envelope.
+        # The recovered store must scrub clean: no orphan tmp files,
+        # every artifact matching the envelope sealed inside it.
         fsck = scrub([root])
         return self._verdict(
             label, results_digest(results), report,

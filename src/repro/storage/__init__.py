@@ -14,7 +14,8 @@ arena leaderboard   :mod:`repro.arena.leaderboard`              ``storage:leader
 
 :mod:`repro.storage.atomic` is the publish discipline (tmp + fsync +
 ``os.replace`` + directory fsync), :mod:`repro.storage.envelope` the
-checksummed sidecars and quarantine-on-mismatch reads, and
+checksum envelopes sealed inside each artifact and the
+quarantine-on-mismatch reads, and
 :mod:`repro.storage.fsck` the scrubber behind ``repro fsck``.  The
 package is stdlib-only: the lint toolchain imports it on a bare
 checkout, and numpy-handling surfaces pass writer callables into
@@ -38,29 +39,31 @@ from .atomic import (
 )
 from .envelope import (
     ENVELOPE_VERSION,
+    GZIP_MEMBER,
     QUARANTINE_DIR,
-    SIDECAR_SUFFIX,
+    ZIP_COMMENT,
     Envelope,
     IntegrityError,
     Quarantine,
-    read_sidecar,
+    Seal,
     sha256_hex,
-    sidecar_path,
     verified_read,
-    write_sidecar,
+    verify,
 )
 from .fsck import FsckReport, StoreFsck, default_roots, scrub, scrub_root
 
 __all__ = [
     "ENVELOPE_VERSION",
+    "GZIP_MEMBER",
     "QUARANTINE_DIR",
     "READONLY_ERRNOS",
-    "SIDECAR_SUFFIX",
     "TMP_SUFFIX",
+    "ZIP_COMMENT",
     "Envelope",
     "FsckReport",
     "IntegrityError",
     "Quarantine",
+    "Seal",
     "StorageReport",
     "StoreFsck",
     "default_roots",
@@ -71,12 +74,10 @@ __all__ = [
     "prune_stale_tmp",
     "publish_bytes",
     "publish_via",
-    "read_sidecar",
     "record_crc",
     "scrub",
     "scrub_root",
     "sha256_hex",
-    "sidecar_path",
     "verified_read",
-    "write_sidecar",
+    "verify",
 ]

@@ -3,13 +3,11 @@
 Every persistence surface in the repo — the result cache, the sweep
 journals, the trace store, the cohort exports, the arena leaderboards —
 ultimately boils down to "make these bytes appear at this path, all or
-nothing, and survive a crash".  Before this layer
-each surface had its own partial answer (bare ``write_bytes`` in the
-leaderboard, tmp+rename without fsync in the caches).  This module is
-the single full answer:
+nothing, and survive a crash".  This module is the one answer:
 
-1. stage the payload in a temporary file **in the destination
-   directory** (same filesystem, so the final rename cannot copy);
+1. stage the payload, sealed with its checksum envelope, in a temporary
+   file **in the destination directory** (same filesystem, so the final
+   rename cannot copy);
 2. ``fsync`` the staged file, so the payload is durable before it
    becomes visible;
 3. ``os.replace`` it into place — atomic on POSIX, so a reader (or a
@@ -41,9 +39,12 @@ import zlib
 from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Optional, TextIO, Union
+from typing import IO, TYPE_CHECKING, Callable, Optional, TextIO, Union
 
 from ..faults.injector import InjectedCrash, claim_storage_fault
+
+if TYPE_CHECKING:  # pragma: no cover - envelope imports this module
+    from .envelope import Seal
 
 #: Suffix of staged (not yet published) files.  fsck treats a surviving
 #: ``*.tmp`` file as an orphan: evidence of a writer that died between
@@ -70,8 +71,6 @@ class StorageReport:
     published: int = 0
     #: Reads whose checksum envelope verified.
     verified: int = 0
-    #: Reads of pre-envelope artifacts (no sidecar to verify against).
-    legacy_reads: int = 0
     #: Corrupt artifacts moved to quarantine (never deleted).
     quarantined: int = 0
     #: Publishes that failed (full disk, injected crash, ...) without
@@ -159,21 +158,22 @@ def publish_via(
     do_fsync: bool = True,
     report: Optional[StorageReport] = None,
     digest: Optional[str] = None,
+    seal: Optional["Seal"] = None,
 ) -> str:
-    """Publish whatever ``fill`` writes into a staged handle; returns
-    the payload's SHA-256 hex digest.
+    """Publish whatever ``fill`` writes into a staged handle, sealed
+    with ``seal``'s envelope if given; returns the payload's SHA-256.
 
     This is the streaming entry point (npz and gzip writers need a real
     seekable file, so hashing happens by re-reading the staged file —
-    one warm sequential read).  A caller that already holds the digest
-    of what ``fill`` writes passes it as ``digest`` and skips that read
-    (:func:`publish_bytes`).  On any error the staged file is removed:
-    a failed publish leaves **nothing** behind, not even on ENOSPC.
+    one warm sequential read), unless the caller passes the ``digest``
+    of what ``fill`` writes (:func:`publish_bytes`).  The envelope
+    trailer (:mod:`repro.storage.envelope`) goes into the staged file
+    after that hash and before its fsync, so one ``os.replace``
+    publishes artifact and envelope together.  On any error the staged
+    file is removed: a failed publish leaves **nothing** behind.
 
     ``surface`` names the storage fault point (``storage:<surface>``)
-    for the chaos harness; ``None`` opts out of fault injection (e.g.
-    envelope sidecars, which must stay trustworthy while their artifact
-    is being faulted).
+    for the chaos harness; ``None`` opts out of fault injection.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -182,14 +182,18 @@ def publish_via(
     )
     tmp: Optional[Path] = Path(tmp_name)
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with os.fdopen(fd, "w+b") as fh:
             fill(fh)
+            if seal is not None:
+                seal.prepare(fh)
             fh.flush()
+            if digest is None:
+                digest = _file_sha256(Path(tmp_name))
+            if seal is not None:
+                fh.write(seal.trailer(digest, fh.seek(0, os.SEEK_END)))
+                fh.flush()
             if do_fsync:
                 os.fsync(fh.fileno())
-        assert tmp is not None
-        if digest is None:
-            digest = _file_sha256(tmp)
         fault = claim_storage_fault(surface)
         if fault == "enospc":
             raise OSError(
@@ -207,14 +211,9 @@ def publish_via(
                 f"injected crash before publish of {path}"
             )
         if fault == "torn":
-            # A torn write: the rename lands but the payload's tail was
-            # lost.  The envelope digest (computed above, over the full
-            # payload) is what lets readers catch this.
-            size = Path(tmp_name).stat().st_size
-            with open(tmp_name, "r+b") as torn:
-                torn.truncate(max(1, size // 2))
-                torn.flush()
-                os.fsync(torn.fileno())
+            # A torn write: the rename lands but the file's tail — the
+            # envelope with it — was lost, so readers refuse the file.
+            os.truncate(tmp_name, max(1, os.path.getsize(tmp_name) // 2))
         os.replace(tmp_name, path)
         tmp = None
         if do_fsync:
@@ -238,13 +237,15 @@ def publish_bytes(
     surface: Optional[str] = None,
     do_fsync: bool = True,
     report: Optional[StorageReport] = None,
+    seal: Optional["Seal"] = None,
 ) -> str:
-    """Atomically publish ``data`` at ``path``; returns its SHA-256,
-    taken from ``data`` in memory rather than read back from disk."""
+    """Atomically publish ``data`` (sealed with ``seal``'s envelope, if
+    given) at ``path``; returns its SHA-256, taken from ``data`` in
+    memory rather than read back from disk."""
     return publish_via(
         path, lambda fh: fh.write(data) and None,  # type: ignore[func-returns-value]
         surface=surface, do_fsync=do_fsync, report=report,
-        digest=sha256_hex(data),
+        digest=sha256_hex(data), seal=seal,
     )
 
 

@@ -2,20 +2,24 @@
 
 Walks one or more store roots and classifies every file it finds:
 
-* **artifact with sidecar** — hash the bytes, compare to the envelope;
-  a mismatch is an integrity finding (the store will quarantine it on
-  next read, fsck just surfaces it early);
-* **artifact without sidecar** — a legacy, pre-envelope file; counted,
-  and ``--repair`` blesses its current bytes by deriving a sidecar;
+* **enveloped artifact** (``*.pkl``, ``*.npz``, ``*.jsonl.gz``) —
+  checked against the trailer sealed inside it: no well-formed trailer
+  is a ``bad-envelope`` finding, a size or digest mismatch a
+  ``checksum-mismatch`` (the store quarantines either on next read,
+  fsck just surfaces it early);
+* **arena leaderboard** (``leaderboard-*.json``) — checked against the
+  digest embedded in it (its bytes are its content address);
+* **any other file** (a leaderboard's ``.txt``, ...) — unenveloped,
+  informational;
 * **orphaned ``*.tmp``** — a writer died between staging and publish;
   integrity finding, pruned by ``--repair``;
-* **dangling sidecar** — an envelope whose artifact is gone; integrity
-  finding, pruned by ``--repair``;
 * **journal** (``*.journal``) — header parsed, every record's CRC
   checked; a torn or garbled record is an integrity finding (resume
   skips it, fsck names it);
 * **quarantine contents** — informational only: quarantine is exactly
   where corrupt artifacts are supposed to be.
+
+``--repair`` also quarantines every artifact that fails verification.
 
 Exit-code contract (used by CI and future service health checks):
 ``0`` every store clean, ``1`` integrity findings present, ``2`` usage
@@ -30,20 +34,17 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Union
 
 from .atomic import TMP_SUFFIX, record_crc
-from .envelope import (
-    QUARANTINE_DIR,
-    SIDECAR_SUFFIX,
-    IntegrityError,
-    read_sidecar,
-    sha256_hex,
-    sidecar_path,
-    write_sidecar,
-)
+from .envelope import QUARANTINE_DIR, IntegrityError, Quarantine, verify
 
-FSCK_SCHEMA_VERSION = 1
+#: 2: ``legacy`` became ``unenveloped``; sidecar findings gave way to
+#: ``bad-envelope``.
+FSCK_SCHEMA_VERSION = 2
 
 #: File suffixes fsck recognises as journals (line-JSON with header).
 JOURNAL_SUFFIX = ".journal"
+
+#: Suffixes of artifacts that carry an envelope trailer.
+ENVELOPED_SUFFIXES = (".pkl", ".npz", ".jsonl.gz")
 
 
 @dataclass
@@ -74,10 +75,10 @@ class Finding:
 
 
 #: Finding problems that count as integrity findings (gate CI); the
-#: rest — quarantine contents, legacy files — are informational.
+#: rest — quarantine contents, unenveloped files — are informational.
 INTEGRITY_PROBLEMS = frozenset(
-    {"checksum-mismatch", "orphan-tmp", "dangling-sidecar",
-     "garbled-sidecar", "torn-journal-record", "garbled-journal-header"}
+    {"bad-envelope", "checksum-mismatch", "orphan-tmp",
+     "torn-journal-record", "garbled-journal-header"}
 )
 
 
@@ -88,7 +89,7 @@ class StoreFsck:
     root: str
     artifacts: int = 0
     verified: int = 0
-    legacy: int = 0
+    unenveloped: int = 0
     journals: int = 0
     journal_records: int = 0
     quarantined: int = 0
@@ -106,7 +107,7 @@ class StoreFsck:
             "root": self.root,
             "artifacts": self.artifacts,
             "verified": self.verified,
-            "legacy": self.legacy,
+            "unenveloped": self.unenveloped,
             "journals": self.journals,
             "journal_records": self.journal_records,
             "quarantined": self.quarantined,
@@ -119,7 +120,7 @@ class StoreFsck:
             root=str(payload["root"]),
             artifacts=int(payload["artifacts"]),
             verified=int(payload["verified"]),
-            legacy=int(payload["legacy"]),
+            unenveloped=int(payload["unenveloped"]),
             journals=int(payload["journals"]),
             journal_records=int(payload["journal_records"]),
             quarantined=int(payload["quarantined"]),
@@ -177,7 +178,7 @@ class FsckReport:
             status = "clean" if not bad else f"{bad} integrity finding(s)"
             lines.append(
                 f"{store.root}: {status} — {store.artifacts} artifact(s), "
-                f"{store.verified} verified, {store.legacy} legacy, "
+                f"{store.verified} verified, {store.unenveloped} unenveloped, "
                 f"{store.journals} journal(s), "
                 f"{store.quarantined} quarantined"
             )
@@ -240,40 +241,33 @@ def _scrub_journal(path: Path, store: StoreFsck) -> None:
             store.journal_records += 1
 
 
-def _scrub_artifact(path: Path, store: StoreFsck, repair: bool) -> None:
+def _scrub_artifact(
+    path: Path, store: StoreFsck, quarantine: Optional[Quarantine]
+) -> None:
     store.artifacts += 1
-    try:
-        envelope = read_sidecar(path)
-    except IntegrityError as exc:
-        store.findings.append(
-            Finding(str(sidecar_path(path)), "garbled-sidecar", str(exc))
-        )
+    name = path.name
+    leaderboard = name.startswith("leaderboard-") and name.endswith(".json")
+    if not leaderboard and not name.endswith(ENVELOPED_SUFFIXES):
+        store.unenveloped += 1
         return
     try:
         data = path.read_bytes()
-    except OSError as exc:
+        if leaderboard:
+            # Imported lazily, as default_roots imports the stores.
+            from ..arena.leaderboard import verify_artifact
+
+            verify_artifact(data, name)
+        else:
+            verify(data)
+    except (OSError, ValueError, IntegrityError) as exc:
+        repaired = False
+        if quarantine is not None:
+            quarantine.take(path, str(exc))
+            repaired = not path.exists()
+        # A leaderboard's ValueError is a mismatch with its own digest.
+        problem = getattr(exc, "problem", "checksum-mismatch")
         store.findings.append(
-            Finding(str(path), "checksum-mismatch", f"unreadable: {exc}")
-        )
-        return
-    if envelope is None:
-        store.legacy += 1
-        if repair:
-            write_sidecar(
-                path, kind="fsck-derived", schema="unknown",
-                digest=sha256_hex(data), size=len(data),
-            )
-            store.findings.append(
-                Finding(str(path), "legacy-artifact",
-                        "derived envelope from current bytes", repaired=True)
-            )
-        return
-    if envelope.size != len(data) or envelope.sha256 != sha256_hex(data):
-        store.findings.append(
-            Finding(
-                str(path), "checksum-mismatch",
-                f"have {len(data)} bytes, envelope says {envelope.size}",
-            )
+            Finding(str(path), problem, str(exc), repaired=repaired)
         )
         return
     store.verified += 1
@@ -286,6 +280,7 @@ def scrub_root(
     root = Path(root)
     store = StoreFsck(root=str(root))
     quarantine = root / QUARANTINE_DIR
+    mover = Quarantine(root, label=f"fsck of {root}") if repair else None
     for path in sorted(root.rglob("*")):
         if not path.is_file():
             continue
@@ -306,26 +301,10 @@ def scrub_root(
                         "staged file with no publisher", repaired=repaired)
             )
             continue
-        if name.endswith(SIDECAR_SUFFIX):
-            artifact = path.with_name(name[: -len(SIDECAR_SUFFIX)])
-            if not artifact.exists():
-                repaired = False
-                if repair:
-                    try:
-                        path.unlink()
-                        repaired = True
-                    except OSError:
-                        repaired = False
-                store.findings.append(
-                    Finding(str(path), "dangling-sidecar",
-                            f"artifact {artifact.name} is gone",
-                            repaired=repaired)
-                )
-            continue
         if name.endswith(JOURNAL_SUFFIX):
             _scrub_journal(path, store)
             continue
-        _scrub_artifact(path, store, repair)
+        _scrub_artifact(path, store, mover)
     return store
 
 

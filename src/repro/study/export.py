@@ -29,7 +29,13 @@ from typing import IO, TYPE_CHECKING, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-from ..storage import StorageReport, publish_via, write_sidecar
+from ..storage import (
+    GZIP_MEMBER,
+    ZIP_COMMENT,
+    Seal,
+    StorageReport,
+    publish_via,
+)
 from .signalcapturer import DeviceInfo, DeviceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,8 +52,10 @@ def save_device_log(
     """Write one device's log as gzipped JSONL (atomic); returns the path.
 
     Published through :mod:`repro.storage` with a checksum envelope
-    sidecar, and gzipped with a zeroed mtime so identical logs produce
-    identical bytes (the sidecar digest is then reproducible too).
+    sealed in a final, empty gzip member (``gzip.open`` and ``zcat``
+    read past it), and gzipped with a zeroed mtime so identical logs
+    produce identical bytes (the envelope digest is then reproducible
+    too).
     """
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
@@ -88,14 +96,8 @@ def save_device_log(
             fh.flush()
             fh.detach()
 
-    digest = publish_via(path, fill, surface="study-export")
-    write_sidecar(
-        path,
-        kind="study-export",
-        schema=f"v{FORMAT_VERSION}/device-log",
-        digest=digest,
-        size=path.stat().st_size,
-    )
+    seal = Seal("study-export", f"v{FORMAT_VERSION}/device-log", GZIP_MEMBER)
+    publish_via(path, fill, surface="study-export", seal=seal)
     return path
 
 
@@ -232,27 +234,22 @@ def save_cohort_columns(
     reader reads the file, and :func:`load_cohort_columns` still reads
     older exports deflated throughout.  Published through
     :mod:`repro.storage` — staged, fsynced, renamed into place, and
-    described by a checksum envelope sidecar — so a killed worker never
-    leaves a half-written cohort file for ``--resume`` to trip over,
-    and a torn or bit-rotted shard is caught by ``repro fsck`` instead
-    of silently skewing the reanalysis.
+    sealed with a checksum envelope in the archive comment — so a
+    killed worker never leaves a half-written cohort file for
+    ``--resume`` to trip over, and a torn or bit-rotted shard is caught
+    by ``repro fsck`` instead of silently skewing the reanalysis.
     """
     path = Path(path)
     arrays = {name: getattr(columns, name) for name in _COLUMN_FIELDS}
     arrays["format"] = np.array([COHORT_FORMAT_VERSION], dtype=np.int64)
 
-    digest = publish_via(
+    publish_via(
         path,
         lambda fh: _write_npz(fh, arrays),
         surface="study-export",
         report=report,
-    )
-    write_sidecar(
-        path,
-        kind="study-export",
-        schema=f"v{COHORT_FORMAT_VERSION}/cohort-columns",
-        digest=digest,
-        size=path.stat().st_size,
+        seal=Seal("study-export", f"v{COHORT_FORMAT_VERSION}/cohort-columns",
+                  ZIP_COMMENT),
     )
     return path
 

@@ -52,11 +52,12 @@ import numpy as np
 
 from ..sim.clock import Time
 from ..storage import (
+    ZIP_COMMENT,
     Quarantine,
+    Seal,
     StorageReport,
     publish_via,
     verified_read,
-    write_sidecar,
 )
 from .view import EVENT_COLUMNS, STATES, TraceView
 
@@ -105,7 +106,7 @@ def default_trace_dir() -> Path:
 # Serialisation
 # ======================================================================
 
-#: Envelope schema tag stored in every trace sidecar.
+#: Envelope schema tag sealed into every trace file.
 TRACE_ENVELOPE_SCHEMA = f"v{TRACE_SCHEMA_VERSION}/trace"
 
 
@@ -122,8 +123,9 @@ def save_trace(
 
     Publishes through :mod:`repro.storage` (tmp + fsync + ``os.replace``
     + directory fsync), so a killed recorder never leaves a half-written
-    trace for replay, and records a checksum envelope sidecar so a torn
-    or bit-rotted trace is quarantined on read, never analyzed.
+    trace for replay, and seals a checksum envelope into the archive
+    comment so a torn or bit-rotted trace is quarantined on read, never
+    analyzed.
     """
     path = Path(path)
     events = view.columns
@@ -148,14 +150,8 @@ def save_trace(
     def fill(fh: IO[bytes]) -> None:
         np.savez_compressed(fh, **members)
 
-    digest = publish_via(path, fill, surface="trace-store", report=report)
-    write_sidecar(
-        path,
-        kind="trace-store",
-        schema=TRACE_ENVELOPE_SCHEMA,
-        digest=digest,
-        size=path.stat().st_size,
-    )
+    seal = Seal("trace-store", TRACE_ENVELOPE_SCHEMA, ZIP_COMMENT)
+    publish_via(path, fill, surface="trace-store", report=report, seal=seal)
     return path
 
 
@@ -436,9 +432,9 @@ class TraceStore:
         try:
             return _decode(io.BytesIO(data), path, read)
         except TraceFormatError as exc:
-            # Checksum-clean (or legacy, unverifiable) bytes that still
-            # fail to decode: quarantine and treat as missing so the
-            # affected trace is re-recorded.
+            # Checksum-clean bytes that still fail to decode:
+            # quarantine and treat as missing so the affected trace is
+            # re-recorded.
             self._q.take(path, str(exc))
             return None
 

@@ -55,15 +55,16 @@ def test_arena_out_writes_digest_named_artifact(tmp_path, capsys):
     out_dir = tmp_path / "artifacts"
     assert run_cli(SMOKE, tmp_path, ["--out", str(out_dir)]) == 0
     capsys.readouterr()
-    json_files = sorted(
-        p for p in out_dir.glob("leaderboard-*.json")
-        if not p.name.endswith(".env.json")  # checksum envelope sidecars
-    )
-    txt_files = sorted(out_dir.glob("leaderboard-*.txt"))
-    assert len(json_files) == 1 and len(txt_files) == 1
-    payload = json.loads(json_files[0].read_text())
+    # Exactly the JSON and its rendered table: no sidecars, no debris.
+    json_file, txt_file = sorted(out_dir.iterdir())
+    assert txt_file.name == json_file.name[: -len(".json")] + ".txt"
+    payload = json.loads(json_file.read_text())
     # The file is named after the payload's own content address.
-    assert json_files[0].name == f"leaderboard-{payload['digest'][:16]}.json"
+    assert json_file.name == f"leaderboard-{payload['digest'][:16]}.json"
+    # fsck verifies the JSON against that digest (the table is
+    # informational).
+    assert cli.main(["fsck", "--root", str(out_dir)]) == 0
+    assert "1 verified, 1 unenveloped" in capsys.readouterr().out
 
 
 def test_arena_rejects_unknown_policy(tmp_path, capsys):

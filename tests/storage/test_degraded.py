@@ -16,7 +16,7 @@ import pytest
 
 from repro.experiments.parallel import ResultCache
 from repro.faults.injector import Fault, installed_plan
-from repro.storage import scrub
+from repro.storage import scrub, verify
 
 
 def readonly_plan(tmp_path, count=1):
@@ -74,3 +74,13 @@ def test_enospc_leaves_no_partial_artifact_and_no_orphans(tmp_path):
     # The disk "drained"; the same store publishes fine afterwards.
     store.put("d" * 40, {"seed": 4})
     assert store.get("d" * 40) == {"seed": 4}
+
+
+def test_cache_entry_and_its_envelope_are_one_publish(tmp_path):
+    # No second publish can fail after the first: the entry is sealed.
+    store = ResultCache(tmp_path / "cache", result_type=dict)
+    store.put("e" * 40, {"seed": 5})
+    [entry] = [p for p in (tmp_path / "cache").rglob("*") if p.is_file()]
+    assert entry == store.path_for("e" * 40)
+    assert verify(entry.read_bytes(), store.schema).kind == "result-cache"
+    assert store.report.published == 1

@@ -4,25 +4,24 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro import cli
+from repro.arena.leaderboard import _payload_digest, artifact_bytes
 from repro.storage import (
     FsckReport,
+    Seal,
     publish_bytes,
     record_crc,
     scrub,
-    sidecar_path,
-    write_sidecar,
 )
 
 PAYLOAD = b"a cohort of one million simulated handsets"
 
 
-def publish_enveloped(root, name="entry.bin"):
+def publish_enveloped(root, name="entry.pkl"):
     path = root / name
-    digest = publish_bytes(path, PAYLOAD)
-    write_sidecar(
-        path, kind="test", schema="v1/test", digest=digest, size=len(PAYLOAD)
-    )
+    publish_bytes(path, PAYLOAD, seal=Seal("test", "v1/test"))
     return path
 
 
@@ -48,7 +47,7 @@ def test_missing_roots_are_skipped_silently(tmp_path):
 
 def test_orphan_tmp_is_an_integrity_finding_until_repaired(tmp_path):
     publish_enveloped(tmp_path)
-    orphan = tmp_path / "entry.binXXXX.tmp"
+    orphan = tmp_path / "entry.pklXXXX.tmp"
     orphan.write_bytes(b"dead writer debris")
     report = scrub([tmp_path])
     assert not report.clean and report.exit_code == 1
@@ -60,34 +59,89 @@ def test_orphan_tmp_is_an_integrity_finding_until_repaired(tmp_path):
     assert scrub([tmp_path]).clean
 
 
-def test_dangling_sidecar_is_flagged_and_repairable(tmp_path):
-    path = publish_enveloped(tmp_path)
-    path.unlink()
-    report = scrub([tmp_path])
-    assert problems(report) == ["dangling-sidecar"]
-    scrub([tmp_path], repair=True)
-    assert not sidecar_path(path).exists()
-
-
 def test_checksum_mismatch_is_detected(tmp_path):
     path = publish_enveloped(tmp_path)
-    path.write_bytes(PAYLOAD[:5])
+    data = bytearray(path.read_bytes())
+    data[5] ^= 0x01  # a payload byte: the trailer still parses
+    path.write_bytes(bytes(data))
     report = scrub([tmp_path])
     assert problems(report) == ["checksum-mismatch"]
     assert not report.clean
 
 
-def test_legacy_artifact_is_informational_and_repair_derives_envelope(tmp_path):
-    path = publish_enveloped(tmp_path)
-    sidecar_path(path).unlink()
+@pytest.mark.parametrize("name", ["entry.pkl", "c.npz", "d.jsonl.gz"])
+def test_artifact_without_a_trailer_is_a_bad_envelope_until_repaired(
+    tmp_path, name
+):
+    path = tmp_path / name
+    publish_bytes(path, PAYLOAD)  # no seal: nothing to verify it by
     report = scrub([tmp_path])
-    assert report.clean  # legacy is debt, not damage
-    assert report.stores[0].legacy == 1
+    assert problems(report) == ["bad-envelope"] and report.exit_code == 1
+    assert report.stores[0].verified == 0
 
-    scrub([tmp_path], repair=True)
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        repaired = scrub([tmp_path], repair=True)
+    assert repaired.clean
+    assert repaired.stores[0].findings[0].repaired
+    assert not path.exists()
+    assert (tmp_path / "quarantine" / name).read_bytes() == PAYLOAD
     after = scrub([tmp_path])
-    assert after.stores[0].verified == 1
-    assert after.stores[0].legacy == 0
+    assert after.clean and after.stores[0].quarantined == 1
+
+
+def test_repair_quarantines_a_checksum_mismatch(tmp_path):
+    path = publish_enveloped(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[0] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        repaired = scrub([tmp_path], repair=True)
+    assert [f.problem for f in repaired.stores[0].findings] == [
+        "checksum-mismatch"
+    ]
+    assert repaired.clean and not path.exists()
+
+
+def test_leaderboard_table_is_unenveloped_and_informational(tmp_path):
+    (tmp_path / "leaderboard-0123456789abcdef.txt").write_text("standings\n")
+    report = scrub([tmp_path])
+    assert report.clean
+    store = report.stores[0]
+    assert (store.artifacts, store.unenveloped, store.verified) == (1, 1, 0)
+    assert store.findings == []
+
+
+def _leaderboard(tmp_path):
+    """Publish a (toy) leaderboard as write_artifact names and writes it."""
+    board = {"kind": "arena-leaderboard", "standings": [1, 2, 3]}
+    board["digest"] = _payload_digest(board)
+    json_path = tmp_path / f"leaderboard-{board['digest'][:16]}.json"
+    publish_bytes(json_path, artifact_bytes(board))
+    return json_path, board
+
+
+def test_leaderboard_verifies_against_its_embedded_digest(tmp_path):
+    _leaderboard(tmp_path)
+    report = scrub([tmp_path])
+    assert report.clean
+    store = report.stores[0]
+    assert (store.artifacts, store.verified, store.unenveloped) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("where", [0, 20, -30, -1])
+def test_flipped_leaderboard_byte_makes_fsck_exit_1(tmp_path, capsys, where):
+    json_path, _ = _leaderboard(tmp_path)
+    data = bytearray(json_path.read_bytes())
+    data[where] ^= 0x01
+    json_path.write_bytes(bytes(data))
+    assert cli.main(["fsck", "--root", str(tmp_path)]) == 1
+    assert "checksum-mismatch" in capsys.readouterr().out
+
+
+def test_renamed_leaderboard_is_a_checksum_mismatch(tmp_path):
+    json_path, _ = _leaderboard(tmp_path)
+    json_path.rename(tmp_path / "leaderboard-0000000000000000.json")
+    assert problems(scrub([tmp_path])) == ["checksum-mismatch"]
 
 
 def test_quarantined_files_are_counted_not_scrubbed(tmp_path):
@@ -141,7 +195,7 @@ def test_fsck_cli_json_clean_store(tmp_path, capsys):
 
 def test_fsck_cli_exit_1_on_integrity_findings(tmp_path, capsys):
     publish_enveloped(tmp_path)
-    (tmp_path / "entry.binXXXX.tmp").write_bytes(b"debris")
+    (tmp_path / "entry.pklXXXX.tmp").write_bytes(b"debris")
     assert cli.main(["fsck", "--root", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "orphan-tmp" in out
@@ -150,7 +204,7 @@ def test_fsck_cli_exit_1_on_integrity_findings(tmp_path, capsys):
 
 def test_fsck_cli_repair_then_clean(tmp_path, capsys):
     publish_enveloped(tmp_path)
-    (tmp_path / "entry.binXXXX.tmp").write_bytes(b"debris")
+    (tmp_path / "entry.pklXXXX.tmp").write_bytes(b"debris")
     assert cli.main(["fsck", "--root", str(tmp_path), "--repair"]) == 0
     capsys.readouterr()
     assert cli.main(["fsck", "--root", str(tmp_path)]) == 0

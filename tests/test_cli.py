@@ -181,7 +181,7 @@ def test_trace_ls_quarantines_schema_1_file_once(tmp_path, capsys, envelope):
 
     import numpy as np
 
-    from repro.storage import sha256_hex, write_sidecar
+    from repro.storage import ZIP_COMMENT, Seal, publish_via
 
     root = tmp_path / "traces"
     keys = _store_with_traces(root, 2)
@@ -195,15 +195,16 @@ def test_trace_ls_quarantines_schema_1_file_once(tmp_path, capsys, envelope):
         ctr_time=np.array([], dtype=np.int64), meta_json=np.array(["{}"]),
     )
     if envelope:
-        write_sidecar(old, kind="trace-store", schema="v1/trace",
-                      digest=sha256_hex(old.read_bytes()),
-                      size=old.stat().st_size)
+        # Sealed under its own schema tag: quarantined for schema drift.
+        data = old.read_bytes()
+        publish_via(old, lambda fh: fh.write(data),
+                    seal=Seal("trace-store", "v1/trace", ZIP_COMMENT))
     with pytest.warns(RuntimeWarning) as caught:
         assert main(["trace", "ls", "--store", str(root), "--json"]) == 0
     assert len([w for w in caught if w.category is RuntimeWarning]) == 1
     assert [row["key"] for row in json.loads(capsys.readouterr().out)] == keys
     quarantined = sorted(p.name for p in (root / "quarantine").iterdir())
-    assert quarantined[0] == old.name and len(quarantined) == 1 + envelope
+    assert quarantined == [old.name]
     # Quarantined once: a second listing finds nothing more to move.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

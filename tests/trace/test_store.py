@@ -102,12 +102,9 @@ def test_roundtrip_analysis_identical_on_session(tmp_path):
 def test_save_trace_is_atomic(tmp_path):
     recorder = synthetic_trace()
     save_trace(recorder, tmp_path / "t.trace.npz")
-    # The trace plus its checksum envelope sidecar — and nothing else
-    # (no staging leftovers).
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "t.trace.npz",
-        "t.trace.npz.env.json",
-    ]
+    # The trace, its checksum envelope sealed inside it, and nothing
+    # else (no staging leftovers).
+    assert [p.name for p in tmp_path.iterdir()] == ["t.trace.npz"]
 
 
 def test_meta_round_trips(tmp_path):
