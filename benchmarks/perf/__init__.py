@@ -1,6 +1,6 @@
-"""Performance microbenchmarks (engine throughput, sweep wall-clock).
+"""The CI perf-regression gate (``python -m benchmarks.perf.check_regression``).
 
-Files here are named ``bench_*.py`` so the default pytest run skips
-them; run via ``python -m benchmarks.perf.run``.  See
-``docs/performance.md`` for how the numbers are recorded.
+perfbench (``perfbench/run.py``) is the benchmark that judges every
+performance claim; this package only guards four numbers in CI against
+the newest committed ``BENCH_<date>.json``.  See ``docs/performance.md``.
 """

@@ -655,37 +655,6 @@ def cmd_arena(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Thin wrapper over ``benchmarks.perf.run`` (the perf harness lives
-    alongside the repo, not inside the installed package)."""
-    try:
-        from benchmarks.perf import run as perf_run
-    except ImportError:
-        print(
-            "repro bench requires the repository's benchmarks/ package "
-            "on sys.path (run from the repo root).",
-            file=sys.stderr,
-        )
-        return 2
-    argv = []
-    if args.quick:
-        argv.append("--quick")
-    if args.skip_sweep:
-        argv.append("--skip-sweep")
-    if args.skip_end_to_end:
-        argv.append("--skip-end-to-end")
-    if args.skip_population:
-        argv.append("--skip-population")
-    if args.skip_trace:
-        argv.append("--skip-trace")
-    if args.million:
-        argv.append("--million")
-    argv.extend(["--jobs", str(args.jobs)])
-    if args.out:
-        argv.extend(["--out", args.out])
-    return perf_run.main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -910,7 +879,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="store root to scrub (repeatable; default: "
                              "the result cache and trace store)")
     fsck_p.add_argument("--repair", action="store_true",
-                        help="prune orphaned tmp files and move every "
+                        help="prune orphaned tmp files and leftover "
+                             ".env.json sidecars, and move every "
                              "artifact that fails verification into "
                              "its store's quarantine")
     fsck_p.add_argument("--json", action="store_true")
@@ -957,29 +927,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "into DIR")
     arena_p.add_argument("--json", action="store_true")
     arena_p.set_defaults(func=cmd_arena)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the perf benchmarks and write a BENCH_<date>.json",
-    )
-    bench_p.add_argument("--quick", action="store_true",
-                         help="small op counts / one-cell sweep (CI smoke)")
-    bench_p.add_argument("--jobs", type=int, default=4,
-                         help="worker processes for the parallel sweep leg")
-    bench_p.add_argument("--skip-sweep", action="store_true",
-                         help="microbenchmarks only")
-    bench_p.add_argument("--skip-end-to-end", action="store_true",
-                         help="skip the canonical session-pair macrobench")
-    bench_p.add_argument("--skip-population", action="store_true",
-                         help="skip the §3 fleet devices/sec benchmark")
-    bench_p.add_argument("--skip-trace", action="store_true",
-                         help="skip the trace record/replay macrobench")
-    bench_p.add_argument("--million", action="store_true",
-                         help="include the 1M-device fleet leg (records "
-                              "peak RSS; several minutes)")
-    bench_p.add_argument("--out", default=None,
-                         help="output path (default BENCH_<date>.json in cwd)")
-    bench_p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -13,6 +13,10 @@ Walks one or more store roots and classifies every file it finds:
   informational;
 * **orphaned ``*.tmp``** — a writer died between staging and publish;
   integrity finding, pruned by ``--repair``;
+* **``*.env.json``** — an envelope sidecar of the layout before the
+  envelope moved into the artifact; nothing reads or writes one any
+  more, so it is an ``orphan-sidecar`` integrity finding, pruned by
+  ``--repair``;
 * **journal** (``*.journal``) — header parsed, every record's CRC
   checked; a torn or garbled record is an integrity finding (resume
   skips it, fsck names it);
@@ -46,6 +50,13 @@ JOURNAL_SUFFIX = ".journal"
 #: Suffixes of artifacts that carry an envelope trailer.
 ENVELOPED_SUFFIXES = (".pkl", ".npz", ".jsonl.gz")
 
+#: Leftover files ``--repair`` deletes: (suffix, problem, detail).
+ORPHANS = (
+    (TMP_SUFFIX, "orphan-tmp", "staged file with no publisher"),
+    (".env.json", "orphan-sidecar",
+     "envelope sidecar of the old layout; the envelope is in the artifact"),
+)
+
 
 @dataclass
 class Finding:
@@ -77,7 +88,7 @@ class Finding:
 #: Finding problems that count as integrity findings (gate CI); the
 #: rest — quarantine contents, unenveloped files — are informational.
 INTEGRITY_PROBLEMS = frozenset(
-    {"bad-envelope", "checksum-mismatch", "orphan-tmp",
+    {"bad-envelope", "checksum-mismatch", "orphan-tmp", "orphan-sidecar",
      "torn-journal-record", "garbled-journal-header"}
 )
 
@@ -288,7 +299,10 @@ def scrub_root(
             store.quarantined += 1
             continue
         name = path.name
-        if name.endswith(TMP_SUFFIX):
+        orphan = next(
+            (entry for entry in ORPHANS if name.endswith(entry[0])), None
+        )
+        if orphan is not None:
             repaired = False
             if repair:
                 try:
@@ -297,8 +311,7 @@ def scrub_root(
                 except OSError:
                     repaired = False
             store.findings.append(
-                Finding(str(path), "orphan-tmp",
-                        "staged file with no publisher", repaired=repaired)
+                Finding(str(path), orphan[1], orphan[2], repaired=repaired)
             )
             continue
         if name.endswith(JOURNAL_SUFFIX):

@@ -59,6 +59,28 @@ def test_orphan_tmp_is_an_integrity_finding_until_repaired(tmp_path):
     assert scrub([tmp_path]).clean
 
 
+def test_leftover_sidecar_is_an_orphan_sidecar_finding(tmp_path, capsys):
+    publish_enveloped(tmp_path)
+    (tmp_path / "entry.pkl.env.json").write_text('{"v": 1}')
+    report = scrub([tmp_path])
+    assert problems(report) == ["orphan-sidecar"]
+    [store] = report.stores
+    assert (store.artifacts, store.verified, store.unenveloped) == (1, 1, 0)
+    assert cli.main(["fsck", "--root", str(tmp_path)]) == 1
+    assert "orphan-sidecar" in capsys.readouterr().out
+
+
+def test_repair_deletes_a_leftover_sidecar_and_keeps_its_artifact(tmp_path):
+    artifact = publish_enveloped(tmp_path)
+    sidecar = tmp_path / "entry.pkl.env.json"
+    sidecar.write_text('{"v": 1}')
+    repaired = scrub([tmp_path], repair=True)
+    assert repaired.clean
+    assert [f.repaired for f in repaired.stores[0].findings] == [True]
+    assert not sidecar.exists() and artifact.exists()
+    assert scrub([tmp_path]).clean
+
+
 def test_checksum_mismatch_is_detected(tmp_path):
     path = publish_enveloped(tmp_path)
     data = bytearray(path.read_bytes())
