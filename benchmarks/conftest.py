@@ -9,9 +9,18 @@ Benchmarks run the experiment exactly once via ``benchmark.pedantic``:
 the interesting measurement is the experiment's output, not its wall
 time, but pytest-benchmark still records the duration for regression
 tracking.
+
+The session's result cache, trace store and journals live under one
+temporary ``REPRO_CACHE_DIR``, so every run starts cold: a bench never
+passes on results another commit left in the user's cache, nor leaves
+any there.
 """
 
 from __future__ import annotations
+
+import os
+import shutil
+import tempfile
 
 import pytest
 
@@ -19,6 +28,19 @@ from repro.experiments import study_experiments
 
 #: Scale factor on §3 observation hours (1.0 = the full 9950 h study).
 STUDY_SCALE = 0.15
+
+_CACHE_ROOT = pytest.StashKey[str]()
+
+
+def pytest_configure(config):
+    root = config.stash[_CACHE_ROOT] = tempfile.mkdtemp(prefix="repro-bench-")
+    os.environ["REPRO_CACHE_DIR"] = root
+    # The trace store derives from the cache root unless pointed elsewhere.
+    os.environ.pop("REPRO_TRACE_DIR", None)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.stash[_CACHE_ROOT], ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

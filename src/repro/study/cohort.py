@@ -828,12 +828,15 @@ class TransitionCandidate:
 
 
 def _merge_nested(
-    a: Dict[int, Dict[int, int]], b: Dict[int, Dict[int, int]]
+    *nested: Dict[int, Dict[int, int]]
 ) -> Dict[int, Dict[int, int]]:
-    out = {code: dict(hist) for code, hist in a.items()}
-    for code, hist in b.items():
-        out[code] = merge_count_dicts(out.get(code, {}), hist)
-    return out
+    """Per-code :func:`merge_count_dicts` of ``{code: histogram}`` maps
+    (codes in first-appearance order)."""
+    grouped: Dict[int, List[Dict[int, int]]] = {}
+    for tables in nested:
+        for code, hist in tables.items():
+            grouped.setdefault(code, []).append(hist)
+    return {code: merge_count_dicts(*hists) for code, hists in grouped.items()}
 
 
 @dataclass
@@ -842,7 +845,8 @@ class FleetSummary:
 
     All fields are exact counters, dicts, or canonically-merged
     t-digests, so :meth:`merge` is associative and commutative and the
-    merged summary is bit-identical for any shard grouping of cohorts.
+    merged summary is bit-identical for any shard grouping of cohorts,
+    including one merge of all of them.
     ``table1()`` and ``transitions()`` reproduce
     ``analysis.study_summary`` / ``analysis.transition_stats`` exactly
     (same float operations in the same order).
@@ -878,58 +882,65 @@ class FleetSummary:
     candidates: List[TransitionCandidate] = field(default_factory=list)
 
     # ------------------------------------------------------------------
-    def merge(self, other: "FleetSummary") -> "FleetSummary":
-        """Combine two disjoint device sets' summaries (pure)."""
-        cands = sorted(
-            list(self.candidates) + list(other.candidates),
-            key=lambda c: (-c.pressure_fraction, c.device_index),
-        )[:9]
-        avail_digests = dict(self.avail_digests)
-        for code, digest in other.avail_digests.items():
-            if code in avail_digests:
-                avail_digests[code] = avail_digests[code].merge(digest)
-            else:
-                avail_digests[code] = digest
+    def merge(self, *others: "FleetSummary") -> "FleetSummary":
+        """Combine disjoint device sets' summaries (pure).
+
+        Any grouping of the operands, including all at once, gives the
+        same summary bit for bit; merging ``k`` summaries sorts each
+        digest field once, so a fleet merge is linear in cohorts.
+        """
+        parts = (self, *others)
+        digests: Dict[int, List[TDigest]] = {}
+        for part in parts:
+            for code, digest in part.avail_digests.items():
+                digests.setdefault(code, []).append(digest)
+        # The float sums go left to right in operand order, a missing
+        # code adding 0.0, as a pairwise fold adds them (no ``sum()``:
+        # it compensates float rounding on newer Pythons).
+        avail_sums: Dict[int, float] = {}
+        for code in sorted({c for p in parts for c in p.avail_sums}):
+            total = self.avail_sums.get(code, 0.0)
+            for other in others:
+                total += other.avail_sums.get(code, 0.0)
+            avail_sums[code] = total
         return FleetSummary(
-            n_devices=self.n_devices + other.n_devices,
-            n_kept=self.n_kept + other.n_kept,
-            total_samples=self.total_samples + other.total_samples,
-            interactive_seconds=(
-                self.interactive_seconds + other.interactive_seconds
-            ),
-            med_ge_60=self.med_ge_60 + other.med_ge_60,
-            med_gt_75=self.med_gt_75 + other.med_gt_75,
-            any_ge_1=self.any_ge_1 + other.any_ge_1,
-            crit_gt_10=self.crit_gt_10 + other.crit_gt_10,
-            total_gt_70=self.total_gt_70 + other.total_gt_70,
-            high_gt_50=self.high_gt_50 + other.high_gt_50,
-            high_ge_2=self.high_ge_2 + other.high_ge_2,
-            mod_ge_2=self.mod_ge_2 + other.mod_ge_2,
-            crit_gt_4=self.crit_gt_4 + other.crit_gt_4,
+            n_devices=sum(p.n_devices for p in parts),
+            n_kept=sum(p.n_kept for p in parts),
+            total_samples=sum(p.total_samples for p in parts),
+            interactive_seconds=sum(p.interactive_seconds for p in parts),
+            med_ge_60=sum(p.med_ge_60 for p in parts),
+            med_gt_75=sum(p.med_gt_75 for p in parts),
+            any_ge_1=sum(p.any_ge_1 for p in parts),
+            crit_gt_10=sum(p.crit_gt_10 for p in parts),
+            total_gt_70=sum(p.total_gt_70 for p in parts),
+            high_gt_50=sum(p.high_gt_50 for p in parts),
+            high_ge_2=sum(p.high_ge_2 for p in parts),
+            mod_ge_2=sum(p.mod_ge_2 for p in parts),
+            crit_gt_4=sum(p.crit_gt_4 for p in parts),
             time_in_state=merge_count_dicts(
-                self.time_in_state, other.time_in_state
+                *(p.time_in_state for p in parts)
             ),
             signal_totals=merge_count_dicts(
-                self.signal_totals, other.signal_totals
+                *(p.signal_totals for p in parts)
             ),
             util_median_digest=self.util_median_digest.merge(
-                other.util_median_digest
+                *(o.util_median_digest for o in others)
             ),
-            avail_digests=avail_digests,
-            avail_sums={
-                code: self.avail_sums.get(code, 0.0)
-                + other.avail_sums.get(code, 0.0)
-                for code in sorted(set(self.avail_sums) | set(other.avail_sums))
+            avail_digests={
+                code: first.merge(*rest)
+                for code, (first, *rest) in digests.items()
             },
-            avail_counts=merge_count_dicts(
-                self.avail_counts, other.avail_counts
-            ),
-            sel_devices=self.sel_devices + other.sel_devices,
+            avail_sums=avail_sums,
+            avail_counts=merge_count_dicts(*(p.avail_counts for p in parts)),
+            sel_devices=sum(p.sel_devices for p in parts),
             sel_next_counts=_merge_nested(
-                self.sel_next_counts, other.sel_next_counts
+                *(p.sel_next_counts for p in parts)
             ),
-            sel_dwells=_merge_nested(self.sel_dwells, other.sel_dwells),
-            candidates=cands,
+            sel_dwells=_merge_nested(*(p.sel_dwells for p in parts)),
+            candidates=sorted(
+                (c for p in parts for c in p.candidates),
+                key=lambda c: (-c.pressure_fraction, c.device_index),
+            )[:9],
         )
 
     # ------------------------------------------------------------------
@@ -964,12 +975,10 @@ class FleetSummary:
         # Fallback: top devices by pressure fraction (analysis
         # top_pressure_devices, count=min(9, kept)).
         chosen = self.candidates[: min(9, self.n_kept)]
-        next_counts: Dict[int, Dict[int, int]] = {}
-        dwells: Dict[int, Dict[int, int]] = {}
-        for cand in chosen:
-            next_counts = _merge_nested(next_counts, cand.next_counts)
-            dwells = _merge_nested(dwells, cand.dwells)
-        return next_counts, dwells
+        return (
+            _merge_nested(*(cand.next_counts for cand in chosen)),
+            _merge_nested(*(cand.dwells for cand in chosen)),
+        )
 
     def transitions(self) -> Dict[str, dict]:
         """``analysis.transition_stats`` of the cleaned fleet, exactly."""

@@ -274,16 +274,16 @@ def run_fleet(
             stats.resumed -= 1
             stats.computed += 1
 
-    summary = FleetSummary()
+    summaries: List[FleetSummary] = []
     logs: Optional[List[DeviceLog]] = [] if keep_logs else None
     for result in results:
         assert result is not None  # run_jobs raises rather than drops
-        summary = summary.merge(result.summary)
+        summaries.append(result.summary)
         if logs is not None and result.columns is not None:
             logs.extend(columns_to_logs(result.columns))
     return FleetResult(
         config=config,
-        summary=summary,
+        summary=FleetSummary().merge(*summaries),
         report=stats,
         export_paths=export_paths,
         logs=logs,

@@ -9,8 +9,12 @@ cohort reduces its per-second samples into small mergeable summaries:
   cross-cohort :meth:`TDigest.merge` is a *canonical multiset union* of
   centroid lists (no re-compression), which makes merging exactly
   associative and commutative — the property the shard-invariance
-  guarantee rests on.  Memory is O(cohorts · compression).
-* exact counter maps (plain ints / dicts) merged by addition, used for
+  guarantee rests on: any grouping of the operands, including all of
+  them at once, gives the same digest bit for bit.  Merges are n-ary,
+  so a fleet merges all its cohorts with one sort per digest, linear
+  in the number of cohorts.  Memory is O(cohorts · compression).
+* exact counter maps (plain ints / dicts) merged by addition
+  (:func:`merge_count_dicts`, also n-ary), used for
   signal frequencies, time-in-state, and transition statistics; dwell
   times are kept as ``{duration: count}`` histograms so quartiles can
   be computed *exactly* at finalize time (see
@@ -30,6 +34,11 @@ __all__ = [
     "percentile_from_counts",
     "median_from_counts",
 ]
+
+
+def _canonical_order(means: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The stable sort by (mean, weight) that every digest is kept in."""
+    return np.lexsort((weights, means))
 
 
 class TDigest:
@@ -124,7 +133,7 @@ class TDigest:
         out_weight.append(cur_w)
         means = np.asarray(out_mean)
         weights = np.asarray(out_weight)
-        order = np.lexsort((weights, means))
+        order = _canonical_order(means, weights)
         return cls(means[order], weights[order], compression)
 
     # ------------------------------------------------------------------
@@ -136,21 +145,24 @@ class TDigest:
     def n_centroids(self) -> int:
         return int(self.means.size)
 
-    def merge(self, other: "TDigest") -> "TDigest":
-        """Canonical multiset union of the two centroid lists.
+    def merge(self, *others: "TDigest") -> "TDigest":
+        """Canonical multiset union of this and ``others``' centroid lists.
 
-        No re-compression: the result is the sorted concatenation, so
-        ``a.merge(b) == b.merge(a)`` and
-        ``(a.merge(b)).merge(c) == a.merge(b.merge(c))`` hold *bit for
-        bit* — any shard grouping of cohorts yields the same digest.
+        No re-compression: the result is the stably sorted
+        concatenation of the non-empty operands in operand order, with
+        ``self``'s compression.  So ``a.merge(b) == b.merge(a)`` and any
+        grouping — ``(a.merge(b)).merge(c)``, ``a.merge(b.merge(c))``,
+        or all at once, ``a.merge(b, c)`` — gives the same digest *bit
+        for bit*, whatever the shard grouping of cohorts.  Merging
+        ``k`` digests sorts once, not ``k - 1`` times.
         """
-        if self.n_centroids == 0:
-            return TDigest(other.means, other.weights, self.compression)
-        if other.n_centroids == 0:
-            return TDigest(self.means, self.weights, self.compression)
-        means = np.concatenate([self.means, other.means])
-        weights = np.concatenate([self.weights, other.weights])
-        order = np.lexsort((weights, means))
+        parts = [d for d in (self, *others) if d.n_centroids]
+        if len(parts) <= 1:
+            only = parts[0] if parts else self
+            return TDigest(only.means, only.weights, self.compression)
+        means = np.concatenate([d.means for d in parts])
+        weights = np.concatenate([d.weights for d in parts])
+        order = _canonical_order(means, weights)
         return TDigest(means[order], weights[order], self.compression)
 
     def quantile(self, q: float) -> float:
@@ -218,13 +230,16 @@ class TDigest:
         )
 
 
-def merge_count_dicts(
-    a: Dict[int, int], b: Dict[int, int]
-) -> Dict[int, int]:
-    """Pointwise sum of two integer histograms (associative, exact)."""
-    out = dict(a)
-    for key, count in b.items():
-        out[key] = out.get(key, 0) + count
+def merge_count_dicts(*hists: Dict[int, int]) -> Dict[int, int]:
+    """Pointwise sum of integer histograms (associative, exact).
+
+    Keys keep their first-appearance order across ``hists``, as a left
+    fold of pairwise merges would leave them.
+    """
+    out: Dict[int, int] = {}
+    for hist in hists:
+        for key, count in hist.items():
+            out[key] = out.get(key, 0) + count
     return out
 
 

@@ -9,6 +9,7 @@ reference oracle exactly — same floats, not approximately.
 import dataclasses
 import functools
 import hashlib
+import pickle
 import platform
 import zipfile
 
@@ -17,7 +18,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.parallel import CACHE_DIR_ENV
-from repro.study import analysis
+from repro.study import analysis, sketches
 from repro.study.cohort import (
     FleetConfig,
     FleetSummary,
@@ -89,6 +90,56 @@ def test_summary_bit_identical_across_merge_groupings():
     assert left == reverse
 
 
+def _cohort_summaries(config):
+    return [
+        simulate_cohort(c, config).summary for c in range(n_cohorts(config))
+    ]
+
+
+def test_nary_merge_equals_pairwise_fold_bitwise():
+    summaries = _cohort_summaries(CFG)
+    folded = FleetSummary()
+    for s in summaries:
+        folded = folded.merge(s)
+    at_once = FleetSummary().merge(*summaries)
+    assert at_once == folded
+    assert at_once.state_digest() == folded.state_digest()
+    assert pickle.dumps(at_once) == pickle.dumps(folded)
+    assert run_fleet(CFG).summary.state_digest() == at_once.state_digest()
+
+
+@pytest.mark.parametrize("k", [2, 3, 6, 12])
+def test_merge_sorts_each_digest_field_once(monkeypatch, k):
+    """Linear, not quadratic: merging ``k`` summaries sorts each digest
+    field once, whatever ``k`` is (counted, not timed)."""
+    summaries = _cohort_summaries(CFG)
+    assert all(s.util_median_digest.n_centroids for s in summaries)
+    operands = [summaries[i % len(summaries)] for i in range(k)]
+    calls = []
+    real = sketches._canonical_order
+
+    def counting(means, weights):
+        calls.append(means.size)
+        return real(means, weights)
+
+    monkeypatch.setattr(sketches, "_canonical_order", counting)
+    merged = FleetSummary().merge(*operands)
+    # A field with one non-empty operand needs no sort at all.
+    fields = [[s.util_median_digest for s in operands]] + [
+        [s.avail_digests[code] for s in operands if code in s.avail_digests]
+        for code in merged.avail_digests
+    ]
+    expected = sum(
+        1 for digests in fields if sum(d.n_centroids > 0 for d in digests) > 1
+    )
+    assert len(calls) == expected
+    if k >= 2 * len(summaries):
+        assert expected == 1 + len(merged.avail_digests)
+    assert merged.util_median_digest.n_centroids == sum(
+        s.util_median_digest.n_centroids for s in operands
+    )
+
+
 # ----------------------------------------------------------------------
 # Exactness vs the analysis pipeline (repro.study.analysis)
 # ----------------------------------------------------------------------
@@ -101,6 +152,29 @@ def test_table1_matches_v1_analysis_exactly():
 def test_transitions_match_v1_analysis_exactly():
     fleet = run_fleet(CFG).summary
     assert fleet.transitions() == analysis.transition_stats(_cleaned())
+
+
+#: A fleet where no kept device spends more than 30 % of its time out
+#: of Normal, so Figure 6 falls back to the nine kept devices with the
+#: largest pressure fraction, pooled across four cohorts.  Eleven are
+#: kept, and the most pressured one (device 13) has the largest index,
+#: so the top-9 cut must order by fraction to keep it.
+LOW_PRESSURE_CFG = FleetConfig(
+    n_devices=16, hours_scale=0.02, seed=40, cohort_size=4
+)
+
+
+def test_transitions_fallback_matches_v1_analysis_exactly():
+    config = LOW_PRESSURE_CFG
+    fleet = run_fleet(config).summary
+    assert fleet.sel_devices == 0
+    assert n_cohorts(config) > 1 and fleet.n_kept > 9
+    cleaned = analysis.clean(
+        reference_fleet_logs(config),
+        min_interactive_hours=10.0 * config.hours_scale,
+    )
+    assert len(cleaned) == fleet.n_kept
+    assert fleet.transitions() == analysis.transition_stats(cleaned)
 
 
 def test_keep_logs_bitwise_equal_reference():

@@ -63,6 +63,60 @@ def test_merge_with_empty_is_identity(vals):
     assert TDigest.empty().merge(d) == d
 
 
+#: Centroids drawn from a small pool, so a list of digests holds
+#: duplicate (mean, weight) pairs and equal means with different
+#: weights; ``min_size=0`` gives empty digests.
+centroids_strategy = st.lists(
+    st.tuples(
+        st.sampled_from([-2.5, 0.0, 1.0, 1.0 + 2**-52, 3.75, 1e6]),
+        st.sampled_from([1.0, 2.0, 3.0, 0.5]),
+    ),
+    min_size=0, max_size=8,
+)
+
+
+def _raw_digest(centroids, compression):
+    """A canonical digest straight from (mean, weight) pairs."""
+    means = np.array([m for m, _ in centroids], dtype=np.float64)
+    weights = np.array([w for _, w in centroids], dtype=np.float64)
+    order = np.lexsort((weights, means))
+    return TDigest(means[order], weights[order], compression)
+
+
+def _digest_bytes(d):
+    return d.means.tobytes(), d.weights.tobytes(), d.compression
+
+
+def _split(items, cuts):
+    """``items`` cut into consecutive non-empty groups at ``cuts``."""
+    bounds = [0] + sorted({c % len(items) for c in cuts} - {0}) + [len(items)]
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(centroids_strategy, min_size=1, max_size=7),
+    st.lists(st.integers(min_value=0, max_value=6), max_size=4),
+)
+def test_nary_merge_equals_fold_and_any_grouping_bitwise(lists, cuts):
+    digests = [_raw_digest(c, compression=20 + i) for i, c in enumerate(lists)]
+    first, *rest = digests
+    at_once = first.merge(*rest)
+    left = first
+    for d in rest:
+        left = left.merge(d)
+    right = digests[-1]
+    for d in reversed(digests[:-1]):
+        right = d.merge(right)
+    groups = [g[0].merge(*g[1:]) for g in _split(digests, cuts)]
+    regrouped = groups[0].merge(*groups[1:])
+    expected = _digest_bytes(at_once)
+    assert _digest_bytes(left) == expected
+    assert _digest_bytes(right) == expected
+    assert _digest_bytes(regrouped) == expected
+    assert at_once.compression == first.compression
+
+
 def test_merge_preserves_total_weight():
     a = _digest([1.0, 2.0, 3.0])
     b = _digest([4.0, 5.0])
@@ -145,6 +199,33 @@ def test_merge_count_dicts_is_pointwise_sum(a, b):
         assert merged[key] == a.get(key, 0) + b.get(key, 0)
     # Associativity via commutativity of per-key integer addition.
     assert merge_count_dicts(a, b) == merge_count_dicts(b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.integers(min_value=1, max_value=12),
+            st.integers(min_value=0, max_value=9),
+            max_size=6,
+        ),
+        max_size=7,
+    ),
+    st.lists(st.integers(min_value=0, max_value=6), max_size=4),
+)
+def test_nary_merge_count_dicts_equals_fold_and_any_grouping(hists, cuts):
+    at_once = merge_count_dicts(*hists)
+    left: dict = {}
+    for hist in hists:
+        left = merge_count_dicts(left, hist)
+    # Same sums and the same key order (first appearance).
+    assert list(at_once.items()) == list(left.items())
+    assert list(at_once) == list(dict.fromkeys(k for h in hists for k in h))
+    if hists:
+        groups = [merge_count_dicts(*g) for g in _split(hists, cuts)]
+        regrouped = merge_count_dicts(*groups)
+        assert list(regrouped.items()) == list(at_once.items())
+    assert merge_count_dicts() == {}
 
 
 @settings(max_examples=60, deadline=None)
