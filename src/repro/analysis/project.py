@@ -4,9 +4,7 @@ Per-file extraction produces a :class:`FileFacts` record — plain data
 covering everything the project-level rules need:
 
 * every literal-topic ``emit("topic", ...)``/``on("topic", cb)`` site
-  and ``if "topic" in sim.topics:`` emit gate (REP201–REP203) plus the
-  payload *shapes* and handler signatures the schema-inference pass
-  types against (REP220-series);
+  and ``if "topic" in sim.topics:`` emit gate (REP201–REP203);
 * module-level ``SCHEMA_VERSION``/``SCHEMA_FINGERPRINT`` constants and
   the ``SessionResult`` field list (REP204);
 * class field shapes, process-boundary submission sites, and the
@@ -14,7 +12,7 @@ covering everything the project-level rules need:
   helpers) feeding the pickle-escape pass (REP130).
 
 :class:`ProjectIndex` links the per-file records into the whole-program
-models (schema model, escape analysis).
+model (escape analysis).
 Everything is syntactic: no imports are executed, so the linter runs on
 broken or dependency-free checkouts.
 """
@@ -31,10 +29,6 @@ from .escape import (
     ClassShape, PickleEscape, SubmitSite, extract_classes,
     extract_submit_sites,
 )
-from .schema_infer import (
-    EmitShape, HandlerShape, SchemaModel, SubscriptionShape,
-    extract_schema_facts,
-)
 
 @dataclass(frozen=True)
 class TopicSite:
@@ -44,8 +38,6 @@ class TopicSite:
     path: str
     line: int
     col: int
-    #: Keyword names passed alongside the topic (emit payload keys).
-    payload_keys: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -98,9 +90,6 @@ class FileFacts:
     session_result_line: Optional[int] = None
     #: Function qualname -> (module, return annotation source or None).
     returns: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
-    emit_shapes: List[EmitShape] = field(default_factory=list)
-    sub_shapes: List[SubscriptionShape] = field(default_factory=list)
-    handlers: List[HandlerShape] = field(default_factory=list)
     classes: List[ClassShape] = field(default_factory=list)
     submit_sites: List[SubmitSite] = field(default_factory=list)
 
@@ -127,9 +116,6 @@ def extract_file_facts(rel: str, tree: ast.AST) -> FileFacts:
         elif isinstance(node, ast.Assign):
             _scan_assign(facts, node)
     facts.returns = _return_annotations(tree, module)
-    facts.emit_shapes, facts.sub_shapes, facts.handlers = (
-        extract_schema_facts(tree, module)
-    )
     facts.classes = extract_classes(tree, module)
     facts.submit_sites = extract_submit_sites(
         tree, module, ImportMap(tree, rel)
@@ -176,9 +162,6 @@ def _topic_site(rel: str, node: ast.Call) -> Optional[TopicSite]:
         path=rel,
         line=node.lineno,
         col=node.col_offset + 1,
-        payload_keys=tuple(
-            kw.arg for kw in node.keywords if kw.arg is not None
-        ),
     )
 
 
@@ -285,9 +268,8 @@ class ProjectIndex:
     """Facts extracted from every file in the lint target set.
 
     Built from the per-file :class:`FileFacts` records.  The
-    whole-program models (schema model, escape analysis) are
-    constructed lazily so rule subsets that never touch them pay
-    nothing.
+    whole-program escape analysis is constructed lazily so rule
+    subsets that never touch it pay nothing.
     """
 
     def __init__(self, facts: Sequence[FileFacts]) -> None:
@@ -314,22 +296,9 @@ class ProjectIndex:
                 self.session_result_fields = f.session_result_fields
                 self.session_result_site = (f.rel, f.session_result_line or 1)
             self.module_paths[f.module] = f.rel
-        self._schema: Optional[SchemaModel] = None
         self._escape: Optional[PickleEscape] = None
 
-    # -- lazy whole-program models --------------------------------------
-    @property
-    def schema(self) -> SchemaModel:
-        if self._schema is None:
-            self._schema = SchemaModel(
-                emits=[s for f in self.facts.values() for s in f.emit_shapes],
-                subscriptions=[
-                    s for f in self.facts.values() for s in f.sub_shapes
-                ],
-                handlers=[h for f in self.facts.values() for h in f.handlers],
-            )
-        return self._schema
-
+    # -- lazy whole-program model ---------------------------------------
     @property
     def escape(self) -> PickleEscape:
         if self._escape is None:

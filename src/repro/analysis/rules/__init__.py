@@ -16,7 +16,6 @@ from .boundaries import BOUNDARY_RULES
 from .contracts import CONTRACT_RULES
 from .determinism import DETERMINISM_RULES
 from .robustness import ROBUSTNESS_RULES
-from .schema_rules import SCHEMA_RULES
 from .typing_rules import TYPING_RULES
 
 ALL_RULE_CLASSES: Sequence[Type[Rule]] = (
@@ -24,7 +23,6 @@ ALL_RULE_CLASSES: Sequence[Type[Rule]] = (
     *BOUNDARY_RULES,
     *ROBUSTNESS_RULES,
     *CONTRACT_RULES,
-    *SCHEMA_RULES,
     *TYPING_RULES,
 )
 

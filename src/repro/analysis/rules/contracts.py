@@ -1,9 +1,11 @@
 """Contract rules: cross-file agreements that must never drift.
 
-The simulator's instrumentation bus is stringly-typed by design (zero
-cost when nobody listens), which means a typo in an emit topic does not
-fail loudly — the subscribed checker just never fires and validation
-silently loses coverage.  Likewise the result cache trusts
+The simulator's instrumentation bus declares its topics and their
+fields in ``repro.sim.bus``, and ``Simulator.on`` rejects a subscriber
+that does not match them.  ``emit()`` itself is unchecked, to stay
+free when nobody listens, so a typo in an emit topic or its gate does
+not fail loudly — the subscribed checker just never fires and
+validation silently loses coverage.  Likewise the result cache trusts
 ``SCHEMA_VERSION`` to change whenever ``SessionResult`` changes shape,
 and the parallel fabric trusts every shipped callable to survive
 pickling.  These rules make each of those handshakes checkable at lint

@@ -86,9 +86,9 @@ class TraceCollector:
     # ------------------------------------------------------------------
     def _on_frame(
         self, time: Time, phase: str, pipeline: "VideoPipeline",
-        **payload: object,
+        late: bool, **_payload: object,
     ) -> None:
-        if phase != "render" or payload.get("late"):
+        if phase != "render" or late:
             return
         self._render_times.append(time)
         self._render_periods.append(pipeline.period)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import insort
 from typing import Any, Callable, Dict, KeysView, List, Optional
 
+from .bus import check_subscriber
 from .clock import Time
 from .events import INSERTION_WINDOW, Event, EventQueue
 from .rng import RandomStreams
@@ -228,7 +229,14 @@ class Simulator:
         return bool(self._hooks)
 
     def on(self, topic: str, callback: Callable[..., None]) -> None:
-        """Subscribe ``callback`` to ``topic`` (see :meth:`emit`)."""
+        """Subscribe ``callback`` to ``topic`` (see :meth:`emit`).
+
+        The topic must be declared in :data:`~repro.sim.bus.TOPIC_FIELDS`
+        and the callback must take its fields by name: see
+        :func:`~repro.sim.bus.check_subscriber`, which raises here,
+        once, rather than on the first delivery.
+        """
+        check_subscriber(topic, callback)
         self._hooks.setdefault(topic, []).append(callback)
 
     def off(self, topic: str, callback: Callable[..., None]) -> None:
@@ -251,7 +259,12 @@ class Simulator:
             del self._hooks[topic]
 
     def emit(self, topic: str, **payload: Any) -> None:
-        """Publish an instrumentation event to all ``topic`` subscribers."""
+        """Publish an instrumentation event to all ``topic`` subscribers.
+
+        ``payload`` is the topic's declared fields
+        (:data:`~repro.sim.bus.TOPIC_FIELDS`); it is not re-checked
+        here, on the hot path.
+        """
         hooks = self._hooks.get(topic)
         if not hooks:
             return

@@ -161,7 +161,7 @@ class TraceRecorder(TraceView):
         victim: Thread,
         victor: Optional[Thread],
         core: int,
-        kind: str = "preempt",
+        kind: str,
     ) -> None:
         ticks, victims, victors, cores = self._rows[
             "pre" if kind == "preempt" else "rot"

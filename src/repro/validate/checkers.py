@@ -354,6 +354,7 @@ class VideoPipelineChecker(Checker):
         phase: str,
         pipeline: "RenderPipeline",
         in_flight: int,
+        count: int,
         **_payload: object,
     ) -> None:
         if in_flight < 0:
@@ -361,12 +362,8 @@ class VideoPipelineChecker(Checker):
                 f"{phase}: in-flight frame count went negative "
                 f"({in_flight}) — a frame rendered before its decode"
             )
-        if phase == "skip":
-            skipped = _payload.get("count")
-            if not isinstance(skipped, int) or skipped < 1:
-                self.report(
-                    f"skip event with non-positive batch size ({skipped!r})"
-                )
+        if phase == "skip" and count < 1:
+            self.report(f"skip event with non-positive batch size ({count!r})")
         stats = pipeline.stats
         expected = stats.frames_rendered + stats.frames_dropped + in_flight
         if stats.frames_processed != expected:

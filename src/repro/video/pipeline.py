@@ -307,6 +307,7 @@ class RenderPipeline:
                 pipeline=self,
                 in_flight=self._in_flight,
                 late=late,
+                count=1,
             )
         if not late:
             # Present at the frame's PTS, never earlier: playback stays
@@ -356,6 +357,7 @@ class RenderPipeline:
                 pipeline=self,
                 in_flight=self._in_flight,
                 late=late,
+                count=1,
             )
         if self._waiting_pool:
             self._waiting_pool = False
@@ -384,6 +386,7 @@ class RenderPipeline:
                 phase="skip",
                 pipeline=self,
                 in_flight=self._in_flight,
+                late=True,
                 count=to_skip,
             )
         self.decoder_thread.post(cost, on_complete=done, label="skip")

@@ -29,11 +29,13 @@ def test_exit_two_on_missing_path(monkeypatch, tmp_path):
 
 def test_exit_two_on_unknown_rule(monkeypatch, capsys):
     monkeypatch.chdir(FIXTURES)
-    assert main(["repro/kernel/bad_random.py", "--rules", "REP999"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("repro lint: unknown rule 'REP999' (known: ")
-    assert "REP101" in err[0]
+    # REP220 was a shipped rule once; a deleted id is unknown too.
+    for rule_id in ("REP999", "REP220"):
+        assert main(["repro/kernel/bad_random.py", "--rules", rule_id]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"repro lint: unknown rule '{rule_id}' (known: ")
+        assert "REP101" in err[0]
 
 
 def test_module_entry_point_runs_without_runtime_warning():

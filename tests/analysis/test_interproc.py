@@ -1,8 +1,7 @@
-"""The whole-program passes: pickle escapes and emit schemas.
+"""The whole-program passes: pickle escapes and determinism sources.
 
-Each REP13x/REP22x rule is pinned to its bad fixture (it must fire
-there, with the right shape of message) and to its good twin (it must
-stay silent).  The determinism hazards once traced from source to sink
+Each REP13x rule is pinned to its bad fixture (it must fire there, with
+the right shape of message) and to its good twin (it must stay silent).  The determinism hazards once traced from source to sink
 (wall clock into a seed, an unseeded draw into ``seed=``, set order
 into a journal) are pinned the same way, now flagged at the source by
 REP101/REP102/REP104.  A hypothesis property then locks the analyses'
@@ -135,41 +134,6 @@ def test_same_module_factory_names_the_payload_rep130():
         (fixture, line_of(fixture, "return run_jobs(jobs, _upload)"))
     ]
     assert "UploadJob -> guard: Lock" in escapes[0].message
-
-
-# ----------------------------------------------------------------------
-# REP220-series: emit-bus payload schemas
-# ----------------------------------------------------------------------
-def test_cross_module_shape_mismatch_fires_rep220():
-    findings = findings_for(
-        ["repro/bus/bad_shape_emitter.py", "repro/bus/bad_shape_subscriber.py"]
-    )
-    rep220 = [f for f in findings if f.rule == "REP220"]
-    paths = {f.path for f in rep220}
-    # Both sides of the cross-module break are reported: the handler
-    # missing its required key, and the emit site passing a key the
-    # handler cannot accept.
-    assert "repro/bus/bad_shape_subscriber.py" in paths
-    assert "repro/bus/bad_shape_emitter.py" in paths
-    messages = " | ".join(f.message for f in rep220)
-    assert "'frames'" in messages
-    assert "'frame_total'" in messages
-
-
-def test_dead_payload_key_fires_rep221():
-    findings = findings_for(["repro/bus/bad_dead_key.py"])
-    assert {f.rule for f in findings} == {"REP221"}
-    assert "'reserved'" in findings[0].message
-
-
-def test_phantom_payload_key_fires_rep222():
-    findings = findings_for(["repro/bus/bad_phantom_key.py"])
-    assert {f.rule for f in findings} == {"REP222"}
-    assert "'vsync_missed'" in findings[0].message
-
-
-def test_matching_bus_shapes_are_silent():
-    assert rules_fired(["repro/bus/good_bus.py"]) == set()
 
 
 # ----------------------------------------------------------------------

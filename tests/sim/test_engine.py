@@ -83,8 +83,8 @@ def test_cancel_prevents_firing():
 def test_hooks_receive_time_and_payload():
     sim = Simulator()
     seen = []
-    sim.on("topic", lambda time, value: seen.append((time, value)))
-    sim.schedule(7, lambda: sim.emit("topic", value=42))
+    sim.on("pressure.signal", lambda time, level: seen.append((time, level)))
+    sim.schedule(7, lambda: sim.emit("pressure.signal", level=42))
     sim.run()
     assert seen == [(7, 42)]
 
@@ -197,23 +197,87 @@ def test_emit_skips_work_with_no_subscribers():
     sim = Simulator()
     assert sim.tracing is False
     sim.emit("nobody.listens", value=1)  # must be a cheap no-op
-    sim.on("topic", lambda time: None)
+    sim.on("kswapd.wake", lambda time: None)
     assert sim.tracing is True
 
 
 def test_topics_tracks_subscribed_topics_live():
     sim = Simulator()
     topics = sim.topics
-    assert "a" not in topics
+    assert "kswapd.wake" not in topics
     first = lambda time: None  # noqa: E731
     second = lambda time: None  # noqa: E731
-    sim.on("a", first)
-    sim.on("a", second)
-    sim.on("b", first)
-    assert set(topics) == {"a", "b"}  # the same view, kept current
-    sim.off("a", first)
-    assert "a" in topics  # one "a" subscriber is left
-    sim.off("a", second)
-    assert set(topics) == {"b"}
-    sim.off("b", first)
+    sim.on("kswapd.wake", first)
+    sim.on("kswapd.wake", second)
+    sim.on("kswapd.sleep", first)
+    assert set(topics) == {"kswapd.wake", "kswapd.sleep"}  # the same view, kept current
+    sim.off("kswapd.wake", first)
+    assert "kswapd.wake" in topics  # one "kswapd.wake" subscriber is left
+    sim.off("kswapd.wake", second)
+    assert set(topics) == {"kswapd.sleep"}
+    sim.off("kswapd.sleep", first)
     assert not topics and not sim.tracing
+
+
+# ----------------------------------------------------------------------
+# Subscribe contract: Simulator.on checks a handler against the topic's
+# declared fields (repro.sim.bus.TOPIC_FIELDS) when it subscribes.
+# ----------------------------------------------------------------------
+def test_on_rejects_an_undeclared_topic():
+    sim = Simulator()
+    with pytest.raises(ValueError, match="undeclared emit-bus topic 'sched.swtich'"):
+        sim.on("sched.swtich", lambda time, thread, core: None)
+    assert not sim.tracing
+
+
+def _timed(fn):
+    """A timing wrapper shaped like perfbench's ``--trace 1`` hook."""
+    def call(*args, **kwargs):
+        return fn(*args, **kwargs)
+    call.__wrapped__ = fn
+    return call
+
+
+@pytest.mark.parametrize("handler", [
+    lambda time, thread: None,  # missing the declared "core"
+    lambda thread, core: None,  # cannot take "time"
+    lambda time, thread, core, /: None,  # positional-only: delivery is by name
+    _timed(lambda time, thread: None),  # checked as the wrapper's target
+], ids=["missing-core", "no-time", "positional-only", "wrapped-missing-core"])
+def test_on_rejects_a_handler_missing_a_declared_field(handler):
+    sim = Simulator()
+    with pytest.raises(TypeError, match="cannot take 'sched.switch' deliveries"):
+        sim.on("sched.switch", handler)
+    assert not sim.tracing
+
+
+def test_on_rejects_a_handler_naming_an_undeclared_field():
+    sim = Simulator()
+    # The default would hide the typo: no delivery ever carries "cpu".
+    with pytest.raises(TypeError, match="names 'cpu'"):
+        sim.on("sched.switch", lambda time, thread, core, cpu=None: None)
+    with pytest.raises(TypeError, match="names 'level'"):
+        sim.on("kswapd.wake", lambda time, level=None, **_payload: None)
+    assert not sim.tracing
+
+
+class _Switches:
+    def __init__(self):
+        self.seen = []
+
+    def on_switch(self, time, thread, core):
+        self.seen.append((time, thread, core))
+
+
+def test_on_accepts_catch_alls_bound_methods_and_wrappers():
+    sim = Simulator()
+    caught = []
+    switches = _Switches()
+    wrapped = _Switches()
+    sim.on("sched.switch", lambda time, **payload: caught.append(payload))
+    sim.on("sched.switch", switches.on_switch)
+    sim.on("sched.switch", _timed(wrapped.on_switch))
+    sim.schedule(3, lambda: sim.emit("sched.switch", thread="t", core=1))
+    sim.run()
+    assert caught == [{"thread": "t", "core": 1}]
+    assert switches.seen == wrapped.seen == [(3, "t", 1)]

@@ -22,10 +22,10 @@ def test_off_removes_callback():
     sim = Simulator(seed=1)
     hits = []
     cb = lambda **kw: hits.append(kw)  # noqa: E731
-    sim.on("topic", cb)
-    sim.emit("topic", value=1)
-    sim.off("topic", cb)
-    sim.emit("topic", value=2)
+    sim.on("pressure.signal", cb)
+    sim.emit("pressure.signal", level=1)
+    sim.off("pressure.signal", cb)
+    sim.emit("pressure.signal", level=2)
     assert len(hits) == 1
 
 
@@ -33,20 +33,20 @@ def test_off_drops_tracing_flag_when_last_hook_leaves():
     sim = Simulator(seed=1)
     cb_a = lambda **kw: None  # noqa: E731
     cb_b = lambda **kw: None  # noqa: E731
-    sim.on("a", cb_a)
-    sim.on("b", cb_b)
-    sim.off("a", cb_a)
+    sim.on("kswapd.wake", cb_a)
+    sim.on("kswapd.sleep", cb_b)
+    sim.off("kswapd.wake", cb_a)
     assert sim.tracing  # one subscriber left
-    sim.off("b", cb_b)
+    sim.off("kswapd.sleep", cb_b)
     assert not sim.tracing  # emit() fast path restored
 
 
 def test_off_is_idempotent():
     sim = Simulator(seed=1)
     cb = lambda **kw: None  # noqa: E731
-    sim.on("topic", cb)
-    sim.off("topic", cb)
-    sim.off("topic", cb)  # absent callback: no-op, no raise
+    sim.on("pressure.signal", cb)
+    sim.off("pressure.signal", cb)
+    sim.off("pressure.signal", cb)  # absent callback: no-op, no raise
     sim.off("never-registered", cb)
     assert not sim.tracing
 
@@ -56,10 +56,10 @@ def test_off_leaves_other_subscribers():
     hits_a, hits_b = [], []
     cb_a = lambda **kw: hits_a.append(kw)  # noqa: E731
     cb_b = lambda **kw: hits_b.append(kw)  # noqa: E731
-    sim.on("topic", cb_a)
-    sim.on("topic", cb_b)
-    sim.off("topic", cb_a)
-    sim.emit("topic", value=1)
+    sim.on("pressure.signal", cb_a)
+    sim.on("pressure.signal", cb_b)
+    sim.off("pressure.signal", cb_a)
+    sim.emit("pressure.signal", level=1)
     assert hits_a == [] and len(hits_b) == 1
 
 

@@ -230,7 +230,8 @@ def test_video_checker_catches_negative_in_flight():
         frames_processed=5, frames_rendered=3, frames_dropped=2,
     ))
     device.sim.emit(
-        "video.frame", phase="render", pipeline=pipeline, in_flight=-1
+        "video.frame", phase="render", pipeline=pipeline, in_flight=-1,
+        late=False, count=1,
     )
     assert any("went negative" in v.message for v in harness.violations)
     assert any("do not balance" in v.message for v in harness.violations)
@@ -243,7 +244,8 @@ def test_video_checker_catches_unbalanced_books():
         frames_processed=10, frames_rendered=3, frames_dropped=2,
     ))
     device.sim.emit(
-        "video.frame", phase="decode", pipeline=pipeline, in_flight=4
+        "video.frame", phase="decode", pipeline=pipeline, in_flight=4,
+        late=False, count=1,
     )
     assert [v.checker for v in harness.violations] == ["video-pipeline"]
     assert "do not balance" in harness.violations[0].message
