@@ -132,12 +132,6 @@ class QoEScore:
     #: Named intermediate terms, for the leaderboard's drill-down.
     components: Tuple[Tuple[str, float], ...]
 
-    def component(self, name: str) -> float:
-        for key, value in self.components:
-            if key == name:
-                return value
-        raise KeyError(name)
-
 
 class QoEObjective:
     """A scorer: :class:`SessionMetrics` in, :class:`QoEScore` out.

@@ -54,12 +54,6 @@ class ArenaTrace:
     #: sorted by level severity; levels never entered are omitted.
     pressure_dwell: Tuple[Tuple[str, float], ...]
 
-    def dwell(self, level: str) -> float:
-        for name, seconds in self.pressure_dwell:
-            if name == level:
-                return seconds
-        return 0.0
-
 
 class TraceCollector:
     """Subscribes to ``video.frame`` and ``pressure.state`` and distills

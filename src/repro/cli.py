@@ -269,8 +269,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_study(args: argparse.Namespace) -> int:
     """The §3 population study on the vectorized cohort fleet engine.
 
-    Table 1 summary + Figure 6 transitions, computed from streaming
-    mergeable sketches — memory stays O(cohorts), cohort shards
+    Table 1 summary + Figure 6 transitions, computed from exact
+    mergeable cohort counters — memory stays O(cohorts), cohort shards
     checkpoint to a journal, and an interrupted run resumes with
     ``--resume`` exactly like sweeps.
     """
@@ -304,7 +304,6 @@ def cmd_study(args: argparse.Namespace) -> int:
             jobs=resolve_jobs(args.jobs),
             journal=journal,
             export_dir=Path(args.export) if args.export else None,
-            keep_logs=args.keep_logs,
             report=report,
         )
     except SweepInterrupted as exc:
@@ -740,9 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     study_p.add_argument("--export", default=None, metavar="DIR",
                          help="stream per-cohort columnar npz logs to DIR "
                               "as shards complete (memory stays bounded)")
-    study_p.add_argument("--keep-logs", action="store_true",
-                         help="materialize per-device logs in RAM "
-                              "(small populations only)")
     study_p.add_argument("--json", action="store_true")
     study_p.set_defaults(func=cmd_study)
 

@@ -169,10 +169,6 @@ class Device:
     def free_mb(self) -> float:
         return self.memory.state.free / 256
 
-    @property
-    def available_mb(self) -> float:
-        return self.memory.state.available / 256
-
     def run(self, until: Optional[int] = None) -> int:
         """Advance the simulation (delegates to the engine)."""
         return self.sim.run(until=until)

@@ -159,12 +159,6 @@ class SweepJournal:
             self._fh.close()
             self._fh = None
 
-    def remove(self) -> None:
-        """Delete the journal file (explicit cleanup; never automatic)."""
-        self.close()
-        if self.path.exists():
-            self.path.unlink()
-
     # ------------------------------------------------------------------
     def _load(self) -> tuple[Dict[str, Any], bool]:
         entries: Dict[str, Any] = {}

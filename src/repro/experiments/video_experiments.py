@@ -110,11 +110,6 @@ def fig11_drops_nexus5(**kwargs: Any) -> Dict[Tuple[str, int, str], CellResult]:
     return drop_grid("nexus5", **kwargs)
 
 
-def nexus6p_drops(**kwargs: Any) -> Dict[Tuple[str, int, str], CellResult]:
-    """§4.3 text: Nexus 6P trend (drops only at >=720p, peak ~9%)."""
-    return drop_grid("nexus6p", **kwargs)
-
-
 def crash_table(
     device: str,
     cells: Tuple[Tuple[int, str], ...],

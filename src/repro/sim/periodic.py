@@ -65,10 +65,6 @@ class PeriodicService:
         self._stopped = False
 
     # ------------------------------------------------------------------
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def start(self, delay: Optional[Time] = None) -> None:
         """Arm the first firing ``delay`` ticks from now (default: one
         period)."""

@@ -39,7 +39,6 @@ from .atomic import (
 )
 from .envelope import (
     ENVELOPE_VERSION,
-    GZIP_MEMBER,
     QUARANTINE_DIR,
     ZIP_COMMENT,
     Envelope,
@@ -54,7 +53,6 @@ from .fsck import FsckReport, StoreFsck, default_roots, scrub, scrub_root
 
 __all__ = [
     "ENVELOPE_VERSION",
-    "GZIP_MEMBER",
     "QUARANTINE_DIR",
     "READONLY_ERRNOS",
     "TMP_SUFFIX",

@@ -163,7 +163,7 @@ def publish_via(
     """Publish whatever ``fill`` writes into a staged handle, sealed
     with ``seal``'s envelope if given; returns the payload's SHA-256.
 
-    This is the streaming entry point (npz and gzip writers need a real
+    This is the streaming entry point (npz writers need a real
     seekable file, so hashing happens by re-reading the staged file —
     one warm sequential read), unless the caller passes the ``digest``
     of what ``fill`` writes (:func:`publish_bytes`).  The envelope

@@ -4,13 +4,11 @@ graceful-degradation reads.
 An **envelope** records what an artifact claimed to be at publish time:
 kind, schema tag, size and the SHA-256 of its bytes.  It is a binary
 trailer sealed into the artifact's own file, where the file's format
-ignores it, so ``pickle.loads``, ``np.load`` and ``gzip.open`` read a
-sealed file unchanged.  Its placement (:class:`Seal`) depends on the
-file type: ``RAW`` appends it (result-cache pickles), ``ZIP_COMMENT``
-makes it the zip archive comment (trace and cohort npz files), and
-``GZIP_MEMBER`` puts it in the extra field of a final, empty gzip
-member (device-log ``.jsonl.gz`` files).  The trailer, parsed from its
-end::
+ignores it, so ``pickle.loads`` and ``np.load`` read a sealed file
+unchanged.  Its placement (:class:`Seal`) depends on the file type:
+``RAW`` appends it (result-cache pickles), and ``ZIP_COMMENT`` makes it
+the zip archive comment (trace and cohort npz files).  The trailer,
+parsed from its end::
 
     kind | schema | sha256 (32 bytes) | size u64 | len(kind) u16
          | len(schema) u16 | crc32 u32 | version u16 | MAGIC
@@ -54,7 +52,6 @@ QUARANTINE_DIR = "quarantine"
 #: Trailer placements (see the module docstring).
 RAW = "raw"
 ZIP_COMMENT = "zip-comment"
-GZIP_MEMBER = "gzip-member"
 
 #: The last bytes of every trailer record.
 MAGIC = b"REPROENV"
@@ -67,18 +64,6 @@ _FIXED = _FIELDS.size + _CLOSE.size
 
 #: A zip end-of-central-directory record without a comment.
 _EOCD = 22
-
-#: An empty gzip member: deflate, FEXTRA, no mtime, unknown OS, then the
-#: extra field's length and one ``RE`` subfield holding the record; and
-#: after it an empty final deflate block, the CRC-32 and size of nothing.
-_GZIP_HEAD = struct.Struct("<10sH2sH")
-_GZIP_TAIL = b"\x03\x00" + bytes(8)
-
-
-def _gzip_head(record: int) -> bytes:
-    return _GZIP_HEAD.pack(
-        b"\x1f\x8b\x08\x04\x00\x00\x00\x00\x00\xff", record + 4, b"RE", record
-    )
 
 
 class IntegrityError(RuntimeError):
@@ -131,19 +116,13 @@ class Seal:
         body = kind + schema + _FIELDS.pack(
             bytes.fromhex(sha256), size, len(kind), len(schema)
         )
-        record = body + _CLOSE.pack(zlib.crc32(body), ENVELOPE_VERSION, MAGIC)
-        if self.placement != GZIP_MEMBER:
-            return record
-        return _gzip_head(len(record)) + record + _GZIP_TAIL
+        return body + _CLOSE.pack(zlib.crc32(body), ENVELOPE_VERSION, MAGIC)
 
 
 def verify(data: bytes, expected_schema: Optional[str] = None) -> Envelope:
     """Check ``data`` against the envelope sealed at its end: trailer,
     size, digest, then schema; raises :class:`IntegrityError`."""
     end = len(data)
-    gzipped = data.endswith(_GZIP_TAIL)
-    if gzipped:
-        end -= len(_GZIP_TAIL)
     if end < _FIXED or data[end - len(MAGIC):end] != MAGIC:
         raise IntegrityError("no envelope trailer")
     crc, version, _magic = _CLOSE.unpack_from(data, end - _CLOSE.size)
@@ -162,11 +141,6 @@ def verify(data: bytes, expected_schema: Optional[str] = None) -> Envelope:
         raise IntegrityError(f"malformed envelope: {exc}") from exc
     if not (kind + schema).isprintable():
         raise IntegrityError("malformed envelope: kind or schema is not text")
-    if gzipped:
-        head = _gzip_head(end - start)
-        start -= _GZIP_HEAD.size
-        if start < 0 or data[start:start + _GZIP_HEAD.size] != head:
-            raise IntegrityError("malformed envelope: not an empty gzip member")
     if size != start or digest.hex() != sha256_hex(view[:start]):
         raise IntegrityError(
             f"checksum mismatch (have {start} bytes, envelope says {size})",

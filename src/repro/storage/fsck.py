@@ -2,7 +2,7 @@
 
 Walks one or more store roots and classifies every file it finds:
 
-* **enveloped artifact** (``*.pkl``, ``*.npz``, ``*.jsonl.gz``) —
+* **enveloped artifact** (``*.pkl``, ``*.npz``) —
   checked against the trailer sealed inside it: no well-formed trailer
   is a ``bad-envelope`` finding, a size or digest mismatch a
   ``checksum-mismatch`` (the store quarantines either on next read,
@@ -48,7 +48,7 @@ FSCK_SCHEMA_VERSION = 2
 JOURNAL_SUFFIX = ".journal"
 
 #: Suffixes of artifacts that carry an envelope trailer.
-ENVELOPED_SUFFIXES = (".pkl", ".npz", ".jsonl.gz")
+ENVELOPED_SUFFIXES = (".pkl", ".npz")
 
 #: Leftover files ``--repair`` deletes: (suffix, problem, detail).
 ORPHANS = (

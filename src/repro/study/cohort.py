@@ -11,10 +11,11 @@ allocation churn), 6 s dwell debounce, OnTrimMemory emission with
 
 This module simulates a whole *cohort* of devices as 2-D numpy
 operations (devices × seconds) and reduces each cohort to a small
-mergeable :class:`FleetSummary` (counters + t-digests, see
-:mod:`repro.study.sketches`), so fleet memory is O(cohorts), not
-O(devices); small populations can also carry their per-device logs
-home (:func:`repro.study.fleet.run_fleet` with ``keep_logs``).
+mergeable :class:`FleetSummary` — exactly the counters and histograms
+Table 1 and Figure 6 read (see :mod:`repro.study.sketches`) — so fleet
+memory is O(cohorts), not O(devices); small populations can also carry
+their per-device logs home (:func:`repro.study.fleet.run_fleet` with
+``keep_logs``).
 
 Model (v2, cohort-seeded).  Randomness comes from *per-cohort* named
 streams (``study.fleet<c>.{scalars,mask,noise,services}``), with two
@@ -58,7 +59,6 @@ from .signalcapturer import (
     DeviceLog,
 )
 from .sketches import (
-    TDigest,
     dwell_histogram,
     median_from_counts,
     merge_count_dicts,
@@ -116,10 +116,6 @@ SERVICE_THETA, SERVICE_SIGMA = 1.0 / 600.0, 0.35
 MINUTE = 60
 _SQRT12 = math.sqrt(12.0)
 
-#: Available-memory digest resolution: samples binned at 0.25 MB.
-AVAIL_BIN_PER_MB = 4
-_AVAIL_BINS = 32768  # covers 8 GB devices (max avail < 7200 MB)
-
 ANDROID_VERSIONS = ["9", "10", "11", "12"]
 CORE_CHOICES = [4, 4, 8, 8, 8]
 
@@ -156,8 +152,6 @@ class FleetConfig:
     #: Cleaning threshold; None → 10 h scaled by hours_scale, matching
     #: build_study's ``min_interactive_hours=10.0 * scale``.
     min_interactive_hours: Optional[float] = None
-    #: t-digest compression for the sketched distributions.
-    compression: int = 100
 
     def __post_init__(self) -> None:
         if self.n_devices < 1:
@@ -843,19 +837,17 @@ def _merge_nested(
 class FleetSummary:
     """Mergeable §3 aggregates for any set of cohorts.
 
-    All fields are exact counters, dicts, or canonically-merged
-    t-digests, so :meth:`merge` is associative and commutative and the
-    merged summary is bit-identical for any shard grouping of cohorts,
-    including one merge of all of them.
-    ``table1()`` and ``transitions()`` reproduce
+    Every field is an exact counter or integer histogram, so
+    :meth:`merge` is associative and commutative and the merged summary
+    is bit-identical for any shard grouping of cohorts, including one
+    merge of all of them.  It holds what ``table1()`` and
+    ``transitions()`` read and nothing else; both reproduce
     ``analysis.study_summary`` / ``analysis.transition_stats`` exactly
     (same float operations in the same order).
     """
 
     n_devices: int = 0
     n_kept: int = 0
-    total_samples: int = 0
-    interactive_seconds: int = 0
     # Table 1 counters (over kept devices).
     med_ge_60: int = 0
     med_gt_75: int = 0
@@ -866,14 +858,6 @@ class FleetSummary:
     high_ge_2: int = 0
     mod_ge_2: int = 0
     crit_gt_4: int = 0
-    # Fleet-wide exact counters.
-    time_in_state: Dict[int, int] = field(default_factory=dict)
-    signal_totals: Dict[int, int] = field(default_factory=dict)
-    # Sketched distributions.
-    util_median_digest: TDigest = field(default_factory=TDigest.empty)
-    avail_digests: Dict[int, TDigest] = field(default_factory=dict)
-    avail_sums: Dict[int, float] = field(default_factory=dict)
-    avail_counts: Dict[int, int] = field(default_factory=dict)
     # Figure 6 transition stats (devices over the pressure threshold).
     sel_devices: int = 0
     sel_next_counts: Dict[int, Dict[int, int]] = field(default_factory=dict)
@@ -886,28 +870,13 @@ class FleetSummary:
         """Combine disjoint device sets' summaries (pure).
 
         Any grouping of the operands, including all at once, gives the
-        same summary bit for bit; merging ``k`` summaries sorts each
-        digest field once, so a fleet merge is linear in cohorts.
+        same summary bit for bit.  It makes one pass over the operands'
+        counters and candidates, so a fleet merge is linear in cohorts.
         """
         parts = (self, *others)
-        digests: Dict[int, List[TDigest]] = {}
-        for part in parts:
-            for code, digest in part.avail_digests.items():
-                digests.setdefault(code, []).append(digest)
-        # The float sums go left to right in operand order, a missing
-        # code adding 0.0, as a pairwise fold adds them (no ``sum()``:
-        # it compensates float rounding on newer Pythons).
-        avail_sums: Dict[int, float] = {}
-        for code in sorted({c for p in parts for c in p.avail_sums}):
-            total = self.avail_sums.get(code, 0.0)
-            for other in others:
-                total += other.avail_sums.get(code, 0.0)
-            avail_sums[code] = total
         return FleetSummary(
             n_devices=sum(p.n_devices for p in parts),
             n_kept=sum(p.n_kept for p in parts),
-            total_samples=sum(p.total_samples for p in parts),
-            interactive_seconds=sum(p.interactive_seconds for p in parts),
             med_ge_60=sum(p.med_ge_60 for p in parts),
             med_gt_75=sum(p.med_gt_75 for p in parts),
             any_ge_1=sum(p.any_ge_1 for p in parts),
@@ -917,21 +886,6 @@ class FleetSummary:
             high_ge_2=sum(p.high_ge_2 for p in parts),
             mod_ge_2=sum(p.mod_ge_2 for p in parts),
             crit_gt_4=sum(p.crit_gt_4 for p in parts),
-            time_in_state=merge_count_dicts(
-                *(p.time_in_state for p in parts)
-            ),
-            signal_totals=merge_count_dicts(
-                *(p.signal_totals for p in parts)
-            ),
-            util_median_digest=self.util_median_digest.merge(
-                *(o.util_median_digest for o in others)
-            ),
-            avail_digests={
-                code: first.merge(*rest)
-                for code, (first, *rest) in digests.items()
-            },
-            avail_sums=avail_sums,
-            avail_counts=merge_count_dicts(*(p.avail_counts for p in parts)),
             sel_devices=sum(p.sel_devices for p in parts),
             sel_next_counts=_merge_nested(
                 *(p.sel_next_counts for p in parts)
@@ -1002,43 +956,11 @@ class FleetSummary:
             }
         return result
 
-    def available_summary(self) -> Dict[str, dict]:
-        """Figure 5-style available-MB distribution per state.
-
-        Means are exact (float64 streaming sums); quartiles come from
-        the 0.25 MB-binned t-digests, so they carry sketch resolution
-        rather than matching ``np.percentile`` bitwise.
-        """
-        result = {}
-        for name, code in STATE_CODES.items():
-            count = self.avail_counts.get(code, 0)
-            if count == 0:
-                continue
-            digest = self.avail_digests[code]
-            result[name] = {
-                "mean": self.avail_sums[code] / count,
-                "p25": digest.quantile(0.25),
-                "median": digest.quantile(0.5),
-                "p75": digest.quantile(0.75),
-                "n": count,
-            }
-        return result
-
-    def utilization_quantiles(
-        self, qs: Tuple[float, ...] = (0.1, 0.25, 0.5, 0.75, 0.9)
-    ) -> Dict[float, float]:
-        """Figure 2-style quantiles of per-device median utilization."""
-        if self.util_median_digest.n_centroids == 0:
-            return {}
-        return {q: self.util_median_digest.quantile(q) for q in qs}
-
     # ------------------------------------------------------------------
     def state_digest(self) -> str:
         """Canonical content hash (shard-invariance checks)."""
 
         def canon(obj: object) -> object:
-            if isinstance(obj, TDigest):
-                return (obj.means.tobytes(), obj.weights.tobytes())
             if isinstance(obj, dict):
                 return tuple(
                     (k, canon(v)) for k, v in sorted(obj.items())
@@ -1090,7 +1012,7 @@ class CohortColumns:
 @dataclass
 class CohortResult:
     """One cohort job's output: the mergeable summary, plus columnar
-    logs when the caller asked for them (export / --keep-logs)."""
+    logs when the caller asked for them (export / ``keep_logs``)."""
 
     cohort_index: int
     summary: FleetSummary
@@ -1174,7 +1096,7 @@ def simulate_cohort(
 
     summary = _summarize_cohort(
         start, count, draws, kept, int_count, hours_int, tis,
-        sig_counts, avail_int, state_int, int_offsets, config,
+        sig_counts, avail_int, state_int, int_offsets,
     )
 
     columns = None
@@ -1221,7 +1143,6 @@ def _summarize_cohort(
     avail_int: np.ndarray,
     state_int: np.ndarray,
     int_offsets: np.ndarray,
-    config: FleetConfig,
 ) -> FleetSummary:
     """Reduce one cohort's per-device statistics to a FleetSummary,
     replicating every float operation of analysis.py in order."""
@@ -1243,49 +1164,19 @@ def _summarize_cohort(
     f_crit = tis[kept_idx, 3] / n_int
     f_high = f_mod + f_low + f_crit
 
-    # Available-memory distribution per state, over kept samples only.
-    avail_digests: Dict[int, TDigest] = {}
-    avail_sums: Dict[int, float] = {}
-    avail_counts: Dict[int, int] = {}
+    # Per-device median utilization over kept samples (float32 math,
+    # like analysis).
     medians = np.empty(0)
     if n_kept:
         if n_kept == count:
-            avail_k, state_k = avail_int, state_int
+            avail_k = avail_int
         else:
-            dev_of = np.repeat(
-                np.arange(count), int_count
-            )
-            sample_kept = kept[dev_of]
-            avail_k = avail_int[sample_kept]
-            state_k = state_int[sample_kept]
-            del dev_of, sample_kept
-        # Per-device median utilization (float32 math, like analysis).
+            avail_k = avail_int[np.repeat(kept, int_count)]
         medians = _median_utilizations(
             avail_k,
             np.concatenate(([0], np.cumsum(int_count[kept_idx]))),
             draws.total_mb[kept_idx],
         ).astype(np.float64)
-        bins = (avail_k * np.float32(AVAIL_BIN_PER_MB)).astype(np.int32)
-        key = state_k.astype(np.int32) * _AVAIL_BINS + bins
-        counts_all = np.bincount(key, minlength=4 * _AVAIL_BINS)
-        sums_all = np.bincount(
-            key, weights=avail_k.astype(np.float64),
-            minlength=4 * _AVAIL_BINS,
-        )
-        for code in range(4):
-            sl = slice(code * _AVAIL_BINS, (code + 1) * _AVAIL_BINS)
-            c_state = counts_all[sl]
-            nz = np.flatnonzero(c_state)
-            if len(nz) == 0:
-                continue
-            centers = (nz + 0.5) / AVAIL_BIN_PER_MB
-            avail_digests[code] = TDigest.from_counts(
-                centers, c_state[nz], config.compression
-            )
-            avail_sums[code] = float(sums_all[sl].sum())
-            avail_counts[code] = int(c_state.sum())
-
-    util_digest = TDigest.from_values(medians, config.compression)
 
     # Figure 6: transition stats on the cleaned (compacted) state.
     episodes = _runs_flat(state_int, int_offsets)
@@ -1340,20 +1231,9 @@ def _summarize_cohort(
                 dwells=c_dwells,
             ))
 
-    time_in_state = {
-        code: int(tis[kept_idx, code].sum()) for code in range(4)
-        if tis[kept_idx, code].sum()
-    }
-    signal_totals = {
-        code: int(sig_counts[kept_idx, code].sum())
-        for code in range(4) if sig_counts[kept_idx, code].sum()
-    }
-
     return FleetSummary(
         n_devices=count,
         n_kept=n_kept,
-        total_samples=int(draws.n.sum()),
-        interactive_seconds=int(int_count.sum()),
         med_ge_60=int((medians >= 0.60).sum()),
         med_gt_75=int((medians > 0.75).sum()),
         any_ge_1=int((r_total >= 1.0).sum()),
@@ -1363,12 +1243,6 @@ def _summarize_cohort(
         high_ge_2=int((f_high >= 0.02).sum()),
         mod_ge_2=int((f_mod >= 0.02).sum()),
         crit_gt_4=int((f_crit > 0.04).sum()),
-        time_in_state=time_in_state,
-        signal_totals=signal_totals,
-        util_median_digest=util_digest,
-        avail_digests=avail_digests,
-        avail_sums=avail_sums,
-        avail_counts=avail_counts,
         sel_devices=int(selected.sum()),
         sel_next_counts=sel_next,
         sel_dwells=sel_dwells,

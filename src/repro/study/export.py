@@ -1,174 +1,30 @@
-"""SignalCapturer log export/import.
+"""SignalCapturer log export: one columnar npz file per cohort.
 
 The paper's repository ships the raw user-study logs for reanalysis
-(Appendix A).  This module does the same for the synthetic population:
-each device serialises to one gzipped JSON-lines file — a metadata
-record, one record per downsampled memory sample, and one per signal —
-and round-trips back into :class:`DeviceLog` for the analysis pipeline.
-
-Samples are stored at a configurable stride (default every sample) so
-full populations stay shareable; signals are always stored exactly.
-
-The fleet population engine adds a second, columnar format: one
-``cohort-<index>.npz`` file per cohort shard (see
-:func:`save_cohort_columns`), written by the cohort worker the moment
-the shard finishes — population memory stays O(cohorts) regardless of
-fleet size, and a million-device run streams its per-second logs to
-disk instead of holding ~10^11 samples in RAM.  The files are standard
-npz archives whose floating-point members are stored, not deflated.
+(Appendix A).  The fleet population engine does the same for the
+synthetic population: one ``cohort-<index>.npz`` file per cohort shard
+(see :func:`save_cohort_columns`), written by the cohort worker the
+moment the shard finishes — population memory stays O(cohorts)
+regardless of fleet size, and a million-device run streams its
+per-second logs to disk instead of holding ~10^11 samples in RAM.  The
+files are standard npz archives whose floating-point members are
+stored, not deflated; :func:`iter_exported_logs` reads them back as
+:class:`DeviceLog` objects for the analysis pipeline.
 """
 
 from __future__ import annotations
 
-import gzip
-import io
-import json
 import zipfile
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
-from ..storage import (
-    GZIP_MEMBER,
-    ZIP_COMMENT,
-    Seal,
-    StorageReport,
-    publish_via,
-)
-from .signalcapturer import DeviceInfo, DeviceLog
+from ..storage import ZIP_COMMENT, Seal, StorageReport, publish_via
+from .signalcapturer import DeviceLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .cohort import CohortColumns
-
-FORMAT_VERSION = 1
-
-
-def save_device_log(
-    log: DeviceLog,
-    path: Union[str, Path],
-    sample_stride: int = 1,
-) -> Path:
-    """Write one device's log as gzipped JSONL (atomic); returns the path.
-
-    Published through :mod:`repro.storage` with a checksum envelope
-    sealed in a final, empty gzip member (``gzip.open`` and ``zcat``
-    read past it), and gzipped with a zeroed mtime so identical logs
-    produce identical bytes (the envelope digest is then reproducible
-    too).
-    """
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
-    path = Path(path)
-
-    def fill(raw: IO[bytes]) -> None:
-        with gzip.GzipFile(
-            fileobj=raw, mode="wb", filename="", mtime=0
-        ) as gz:
-            fh = io.TextIOWrapper(gz, encoding="utf-8")
-            header = {
-                "type": "meta",
-                "version": FORMAT_VERSION,
-                "device_id": log.info.device_id,
-                "manufacturer": log.info.manufacturer,
-                "total_mb": log.info.total_mb,
-                "android_version": log.info.android_version,
-                "n_cores": log.info.n_cores,
-                "n_samples": len(log.timestamps),
-                "sample_stride": sample_stride,
-            }
-            fh.write(json.dumps(header) + "\n")
-            for i in range(0, len(log.timestamps), sample_stride):
-                record = {
-                    "type": "sample",
-                    "t": int(log.timestamps[i]),
-                    "avail_mb": round(float(log.available_mb[i]), 2),
-                    "state": int(log.state[i]),
-                    "interactive": bool(log.interactive[i]),
-                    "services": int(log.n_services[i]),
-                }
-                fh.write(json.dumps(record) + "\n")
-            for t, code in log.signals:
-                fh.write(
-                    json.dumps({"type": "signal", "t": t, "state": code})
-                    + "\n"
-                )
-            fh.flush()
-            fh.detach()
-
-    seal = Seal("study-export", f"v{FORMAT_VERSION}/device-log", GZIP_MEMBER)
-    publish_via(path, fill, surface="study-export", seal=seal)
-    return path
-
-
-def load_device_log(path: Union[str, Path]) -> DeviceLog:
-    """Read a log written by :func:`save_device_log`."""
-    path = Path(path)
-    samples = []
-    signals = []
-    header = None
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        for line in fh:
-            record = json.loads(line)
-            kind = record.pop("type")
-            if kind == "meta":
-                header = record
-            elif kind == "sample":
-                samples.append(record)
-            elif kind == "signal":
-                signals.append((record["t"], record["state"]))
-            else:
-                raise ValueError(f"unknown record type {kind!r} in {path}")
-    if header is None:
-        raise ValueError(f"{path} has no meta record")
-    if header["version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported log version {header['version']}")
-    info = DeviceInfo(
-        device_id=header["device_id"],
-        manufacturer=header["manufacturer"],
-        total_mb=header["total_mb"],
-        android_version=header["android_version"],
-        n_cores=header["n_cores"],
-    )
-    return DeviceLog(
-        info=info,
-        timestamps=np.array([s["t"] for s in samples], dtype=np.int64),
-        available_mb=np.array([s["avail_mb"] for s in samples], dtype=np.float32),
-        state=np.array([s["state"] for s in samples], dtype=np.int8),
-        interactive=np.array([s["interactive"] for s in samples], dtype=bool),
-        n_services=np.array([s["services"] for s in samples], dtype=np.int16),
-        signals=signals,
-    )
-
-
-def save_population(
-    population: List[DeviceLog],
-    directory: Union[str, Path],
-    sample_stride: int = 1,
-) -> List[Path]:
-    """Write every device's log into ``directory`` (created if needed)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    return [
-        save_device_log(
-            log, directory / f"{log.info.device_id}.jsonl.gz", sample_stride
-        )
-        for log in population
-    ]
-
-
-def load_population(directory: Union[str, Path]) -> List[DeviceLog]:
-    """Read every ``*.jsonl.gz`` log in ``directory``, sorted by name."""
-    directory = Path(directory)
-    return [
-        load_device_log(path)
-        for path in sorted(directory.glob("*.jsonl.gz"))
-    ]
-
-
-# ======================================================================
-# Columnar cohort export (fleet population engine)
-# ======================================================================
 
 #: npz format stamp; a mismatch on load is an error, not a guess.
 COHORT_FORMAT_VERSION = 1

@@ -47,7 +47,7 @@ from .signalcapturer import DeviceLog
 #: Bump when the fleet model or FleetSummary layout changes in a way
 #: that alters results: old journals and export files then stop
 #: matching.
-POP_SCHEMA_VERSION = 1
+POP_SCHEMA_VERSION = 2
 
 FLEET_JOURNAL_MAGIC = "repro-fleet"
 
@@ -85,7 +85,6 @@ def cohort_job_key(job: CohortJob) -> str:
             None if config.min_interactive_hours is None
             else repr(float(config.min_interactive_hours))
         ),
-        "compression": config.compression,
         "export": job.export_dir or "",
         "keep": job.keep_columns,
     }

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..sim.rng import RandomStreams
-from .encoding import VideoAsset, bitrate_kbps, RESOLUTIONS
+from .encoding import VideoAsset
 
 #: Chunk length used throughout the paper's experiments.
 SEGMENT_DURATION_S = 4.0
@@ -35,10 +35,6 @@ class Representation:
     fps: int
     bitrate_kbps: int
     segments: tuple
-
-    @property
-    def pixels(self) -> int:
-        return RESOLUTIONS[self.resolution].pixels
 
     @property
     def total_bytes(self) -> int:

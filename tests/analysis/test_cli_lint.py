@@ -91,3 +91,54 @@ def test_update_baseline_then_green(monkeypatch, tmp_path):
     assert main([bad, *common]) == 0
     # A new violation on top of the baseline still fails.
     assert main([bad, "repro/kernel/bad_hash.py", *common]) == 1
+
+
+# ----------------------------------------------------------------------
+# --changed: report only the files git says were touched
+# ----------------------------------------------------------------------
+
+#: Two fixtures with findings of their own, copied into a temporary tree.
+CHANGED_FIXTURES = ("repro/kernel/bad_random.py", "repro/kernel/bad_hash.py")
+
+
+def _fixture_tree(root, monkeypatch):
+    """Copy the two fixtures under ``root``, isolated from any enclosing
+    repository and from the caller's git environment (a pre-commit hook
+    exports ``GIT_INDEX_FILE`` and friends)."""
+    for name in [k for k in os.environ if k.startswith("GIT_")]:
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(root.parent))
+    for rel in CHANGED_FIXTURES:
+        target = root / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes((FIXTURES / rel).read_bytes())
+    monkeypatch.chdir(root)
+
+
+def _reported(capsys, *args):
+    assert main(["repro", "--no-baseline", "--json", *args]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    return {finding["path"] for finding in payload["findings"]}
+
+
+def test_changed_reports_only_the_touched_file(monkeypatch, tmp_path, capsys):
+    root = tmp_path / "tree"
+    _fixture_tree(root, monkeypatch)
+    git = ["git", "-c", "user.name=lint", "-c", "user.email=lint@example.com",
+           "-c", "commit.gpgsign=false"]
+    for command in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "x"]):
+        subprocess.run(git + command, cwd=root, check=True,
+                       capture_output=True)
+    assert _reported(capsys) == set(CHANGED_FIXTURES)
+
+    touched = root / CHANGED_FIXTURES[1]
+    touched.write_text(touched.read_text() + "# touched\n")
+    assert _reported(capsys, "--changed") == {CHANGED_FIXTURES[1]}
+
+
+def test_changed_outside_a_git_repo_reports_everything(
+    monkeypatch, tmp_path, capsys
+):
+    root = tmp_path / "tree"
+    _fixture_tree(root, monkeypatch)
+    assert _reported(capsys, "--changed") == set(CHANGED_FIXTURES)

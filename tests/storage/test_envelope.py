@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import gzip
 import io
 import json
-import shutil
 import struct
-import subprocess
 import tempfile
 import warnings
 import zipfile
@@ -21,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.storage import (
     ENVELOPE_VERSION,
-    GZIP_MEMBER,
     ZIP_COMMENT,
     IntegrityError,
     Quarantine,
@@ -381,14 +377,7 @@ def _fill_zip(payload):
     return lambda fh: np.savez(fh, a=np.frombuffer(payload, dtype=np.uint8))
 
 
-def _fill_gzip(payload):
-    def fill(fh):
-        with gzip.GzipFile(fileobj=fh, mode="wb", mtime=0) as gz:
-            gz.write(payload)
-    return fill
-
-
-PLACEMENTS = {RAW: _fill_raw, ZIP_COMMENT: _fill_zip, GZIP_MEMBER: _fill_gzip}
+PLACEMENTS = {RAW: _fill_raw, ZIP_COMMENT: _fill_zip}
 
 
 def _sealed(path, placement, payload):
@@ -406,20 +395,6 @@ def test_zip_comment_placement_keeps_the_members(tmp_path):
         assert archive.namelist() == ["a.npy"]
     with np.load(io.BytesIO(data)) as npz:
         assert npz["a"].tobytes() == PAYLOAD
-
-
-def test_gzip_member_placement_decompresses_unchanged(tmp_path):
-    path = tmp_path / "log.jsonl.gz"
-    data = _sealed(path, GZIP_MEMBER, PAYLOAD)
-    assert gzip.decompress(data) == PAYLOAD
-    with gzip.open(path, "rb") as fh:
-        assert fh.read() == PAYLOAD
-    tool = shutil.which("gzip")
-    if tool is not None:
-        subprocess.run([tool, "-t", str(path)], check=True)
-        out = subprocess.run([tool, "-dc", str(path)], check=True,
-                             capture_output=True).stdout
-        assert out == PAYLOAD
 
 
 def test_seal_refuses_a_zip_payload_with_a_comment(tmp_path):
@@ -441,7 +416,7 @@ def test_seal_refuses_a_zip_payload_with_a_comment(tmp_path):
 def _assert_refused(data, placement):
     """``data`` (a damaged sealed file) is an fsck integrity finding,
     and a verified read quarantines it and returns nothing."""
-    suffix = {RAW: ".pkl", ZIP_COMMENT: ".npz", GZIP_MEMBER: ".jsonl.gz"}
+    suffix = {RAW: ".pkl", ZIP_COMMENT: ".npz"}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         path = root / f"entry{suffix[placement]}"

@@ -18,7 +18,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.parallel import CACHE_DIR_ENV
-from repro.study import analysis, sketches
+from repro.study import analysis
 from repro.study.cohort import (
     FleetConfig,
     FleetSummary,
@@ -85,7 +85,7 @@ def test_summary_bit_identical_across_merge_groupings():
         reverse = reverse.merge(s)
     assert left == right
     assert left.state_digest() == right.state_digest()
-    # Counters/digests are order-invariant; candidate ordering is
+    # Counters are order-invariant; candidate ordering is
     # canonical, so even a reversed merge matches.
     assert left == reverse
 
@@ -106,38 +106,6 @@ def test_nary_merge_equals_pairwise_fold_bitwise():
     assert at_once.state_digest() == folded.state_digest()
     assert pickle.dumps(at_once) == pickle.dumps(folded)
     assert run_fleet(CFG).summary.state_digest() == at_once.state_digest()
-
-
-@pytest.mark.parametrize("k", [2, 3, 6, 12])
-def test_merge_sorts_each_digest_field_once(monkeypatch, k):
-    """Linear, not quadratic: merging ``k`` summaries sorts each digest
-    field once, whatever ``k`` is (counted, not timed)."""
-    summaries = _cohort_summaries(CFG)
-    assert all(s.util_median_digest.n_centroids for s in summaries)
-    operands = [summaries[i % len(summaries)] for i in range(k)]
-    calls = []
-    real = sketches._canonical_order
-
-    def counting(means, weights):
-        calls.append(means.size)
-        return real(means, weights)
-
-    monkeypatch.setattr(sketches, "_canonical_order", counting)
-    merged = FleetSummary().merge(*operands)
-    # A field with one non-empty operand needs no sort at all.
-    fields = [[s.util_median_digest for s in operands]] + [
-        [s.avail_digests[code] for s in operands if code in s.avail_digests]
-        for code in merged.avail_digests
-    ]
-    expected = sum(
-        1 for digests in fields if sum(d.n_centroids > 0 for d in digests) > 1
-    )
-    assert len(calls) == expected
-    if k >= 2 * len(summaries):
-        assert expected == 1 + len(merged.avail_digests)
-    assert merged.util_median_digest.n_centroids == sum(
-        s.util_median_digest.n_centroids for s in operands
-    )
 
 
 # ----------------------------------------------------------------------

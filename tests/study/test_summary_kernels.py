@@ -1,10 +1,10 @@
 """The cohort-summary kernels against their pre-vectorization oracle.
 
-``summary_oracle.py`` keeps the scalar t-digest loop, the per-device
-``np.median`` and the ``np.unique`` run splitter.  The current
-``TDigest.from_counts``, ``_median_utilizations`` and ``_runs_flat``
-must agree with them bit for bit: floats are compared through integer
-views, so a signed zero or a NaN payload would count as a difference.
+``summary_oracle.py`` keeps the per-device ``np.median`` and the
+``np.unique`` run splitter.  The current ``_median_utilizations`` and
+``_runs_flat`` must agree with them bit for bit: floats are compared
+through integer views, so a signed zero or a NaN payload would count
+as a difference.
 """
 
 import warnings
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.study import cohort
 from repro.study.cohort import _flatten_rows, _median_utilizations, _runs_flat
-from repro.study.sketches import TDigest
 
 from . import summary_oracle as oracle
 
@@ -24,77 +23,6 @@ from . import summary_oracle as oracle
 def _bits(a):
     a = np.asarray(a)
     return a.view(np.int32 if a.dtype.itemsize == 4 else np.int64)
-
-
-def _assert_same_digest(got, want):
-    assert np.array_equal(_bits(got.means), _bits(want.means))
-    assert np.array_equal(_bits(got.weights), _bits(want.weights))
-
-
-# ----------------------------------------------------------------------
-# TDigest.from_counts
-# ----------------------------------------------------------------------
-
-sorted_values = st.lists(
-    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
-    min_size=1, max_size=300,
-).map(sorted)
-
-weights = st.one_of(
-    st.integers(min_value=1, max_value=500).map(float),
-    st.floats(min_value=1e-3, max_value=1e4, allow_nan=False),
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.data(),
-    sorted_values,
-    st.integers(min_value=1, max_value=300),
-)
-def test_from_counts_matches_scalar_loop(data, values, compression):
-    counts = data.draw(
-        st.lists(weights, min_size=len(values), max_size=len(values))
-    )
-    values = np.array(values)
-    counts = np.array(counts)
-    _assert_same_digest(
-        TDigest.from_counts(values, counts, compression),
-        oracle.from_counts(values, counts, compression),
-    )
-
-
-@pytest.mark.parametrize("count", [1.0, 7.0, 0.375])
-def test_from_counts_single_bin(count):
-    values, counts = np.array([2.5]), np.array([count])
-    got = TDigest.from_counts(values, counts, 100)
-    _assert_same_digest(got, oracle.from_counts(values, counts, 100))
-    assert got.n_centroids == 1 and got.weights[0] == count
-
-
-@pytest.mark.parametrize("n,compression", [(1, 100), (2, 3), (600, 100),
-                                           (5000, 20)])
-def test_from_counts_all_equal_weights(n, compression):
-    values = np.sort(np.random.default_rng(n).random(n))
-    for counts in (np.ones(n), np.full(n, 3.0)):
-        _assert_same_digest(
-            TDigest.from_counts(values, counts, compression),
-            oracle.from_counts(values, counts, compression),
-        )
-        _assert_same_digest(
-            TDigest.from_values(values, compression),
-            oracle.from_counts(values, np.ones(n), compression),
-        )
-
-
-def test_from_counts_centroid_closes_on_last_bin():
-    # Near q = 1 the size limit shrinks toward zero, so a heavy last
-    # bin cannot join the centroid before it and closes on its own.
-    values = np.arange(10.0)
-    counts = np.array([5.0] * 9 + [40.0])
-    got = TDigest.from_counts(values, counts, 10)
-    _assert_same_digest(got, oracle.from_counts(values, counts, 10))
-    assert got.means[-1] == 9.0 and got.weights[-1] == 40.0
 
 
 # ----------------------------------------------------------------------
