@@ -6,9 +6,10 @@ changed files) and so importing the main CLI never pays for the rule
 registry.
 
 The driver has one path: discover and parse the targets once, run every
-rule over them (:func:`~repro.analysis.engine.run_rules`), narrow the
-report to git-touched files under ``--changed``, then split the
-findings by baseline.
+rule over them (:func:`~repro.analysis.engine.run_rules`), and narrow
+the report to git-touched files under ``--changed``.  Every finding it
+reports fails the run: a finding is fixed, or suppressed inline with
+``# repro: noqa[RULE]`` and its reason.
 """
 
 from __future__ import annotations
@@ -21,12 +22,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Set
 
 from ..storage import publish_bytes
-from .baseline import (
-    DEFAULT_BASELINE,
-    load_baseline,
-    split_baselined,
-    update_baseline,
-)
 from .engine import LintResult, collect_files, run_rules
 from .reporters import render_json, render_sarif, render_text
 from .rules import build_rules, rule_catalog
@@ -36,22 +31,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="merge current findings into the baseline and exit 0: "
-             "entries for linted files are replaced, entries outside "
-             "the lint scope are kept, entries for deleted files are "
-             "pruned (the static-analysis mirror of `repro validate "
-             "--update-golden`)",
     )
     parser.add_argument(
         "--rules", default=None,
@@ -103,8 +82,6 @@ def changed_files(root: Path) -> Optional[Set[Path]]:
 def run_lint(
     paths: Sequence[Path],
     root: Optional[Path] = None,
-    baseline_path: Optional[Path] = None,
-    use_baseline: bool = True,
     only_rules: Optional[Sequence[str]] = None,
     changed_only: bool = False,
 ) -> LintResult:
@@ -114,29 +91,20 @@ def run_lint(
     files = collect_files(list(paths), resolved_root)
     findings, suppressed = run_rules(files, rules)
 
-    linted = [src.rel for src in files]
     # --changed narrows what is *reported*, not what is *analyzed*:
-    # project rules over a partial file set would see every unchanged
-    # subscriber as an orphan and every unchanged caller as dead.
+    # the project rules over a partial file set would miss the
+    # SessionResult shape in an unchanged module and every pickle
+    # escape whose payload class lives in an unchanged file.
     touched = changed_files(resolved_root) if changed_only else None
     if touched is not None:
-        linted = [src.rel for src in files if src.path.resolve() in touched]
-        scope = set(linted)
+        scope = {src.rel for src in files if src.path.resolve() in touched}
         findings = [f for f in findings if f.path in scope]
         suppressed = [f for f in suppressed if f.path in scope]
-    allowed = (
-        load_baseline(baseline_path)
-        if use_baseline and baseline_path is not None
-        else {}
-    )
-    new, baselined = split_baselined(findings, allowed)
     return LintResult(
-        findings=new,
-        baselined=baselined,
+        findings=findings,
         suppressed=suppressed,
         files_checked=len(files),
         rules_run=[rule.id for rule in rules],
-        linted=linted,
     )
 
 
@@ -163,43 +131,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
             print(f"repro lint: {exc.args[0]}", file=sys.stderr)
             return 2
 
-    baseline_path = args.baseline if args.baseline is not None else DEFAULT_BASELINE
-
-    if args.update_baseline:
-        result = run_lint(
-            paths, baseline_path=None, use_baseline=False,
-            only_rules=only_rules, changed_only=args.changed,
-        )
-        update = update_baseline(
-            result.findings, baseline_path, set(result.linted), Path.cwd(),
-        )
-        print(
-            f"baseline updated: {len(result.findings)} finding(s) from "
-            f"this run, {update.kept_outside} kept outside the lint "
-            f"scope, now {update.new_total} total in {baseline_path}"
-        )
-        for pruned_path in update.pruned:
-            print(
-                f"baseline: pruned entries for deleted file {pruned_path}",
-                file=sys.stderr,
-            )
-        if update.shrank:
-            print(
-                f"baseline: warning: shrank from {update.old_total} to "
-                f"{update.new_total} fingerprint slot(s) — verify the "
-                "debt was actually paid down (fixed findings or deleted "
-                "files), not accidentally un-linted",
-                file=sys.stderr,
-            )
-        return 0
-
-    result = run_lint(
-        paths,
-        baseline_path=baseline_path,
-        use_baseline=not args.no_baseline,
-        only_rules=only_rules,
-        changed_only=args.changed,
-    )
+    result = run_lint(paths, only_rules=only_rules, changed_only=args.changed)
     sarif_to_stdout = args.sarif is not None and str(args.sarif) == "-"
     if args.sarif is not None:
         sarif_payload = json.dumps(

@@ -9,9 +9,9 @@ from being written at all.  The engine is deliberately small:
 * a :class:`Rule` inspects one file at a time; a :class:`ProjectRule`
   additionally sees a :class:`~repro.analysis.project.ProjectIndex`
   built over the whole lint target (for cross-file contracts such as
-  emit/subscribe topic agreement);
+  the ``SessionResult`` cache-schema fingerprint);
 * findings are plain data (:class:`Finding`) with a stable fingerprint,
-  which is what the baseline mechanism keys on.
+  which SARIF's ``partialFingerprints`` carries.
 
 Suppressions are explicit and auditable: a line carrying
 ``# repro: noqa[RULE1,RULE2]`` (or a bare ``# repro: noqa``) silences
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Severity levels, ordered.  Every shipped rule currently reports
-#: ``error`` (the CI gate fails on any new finding); the field exists so
+#: ``error`` (the CI gate fails on any finding); the field exists so
 #: advisory rules can be added without changing the reporters.
 SEVERITIES = ("warning", "error")
 
@@ -50,10 +50,10 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity for baselining: rule + file + message.
+        """Stable identity: rule + file + message.
 
-        Line numbers are deliberately excluded so unrelated edits above
-        a grandfathered finding do not un-baseline it.
+        Line numbers are deliberately excluded so a code-scanning alert
+        keeps tracking a finding across unrelated edits above it.
         """
         blob = f"{self.rule}::{self.path}::{self.message}"
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -259,16 +259,12 @@ from .project import FileFacts, ProjectIndex, extract_file_facts  # noqa: E402
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run, before/after baseline filtering."""
+    """Outcome of one lint run."""
 
-    findings: List[Finding]          #: new findings (fail the run)
-    baselined: List[Finding]         #: grandfathered via the baseline
+    findings: List[Finding]          #: reported findings (fail the run)
     suppressed: List[Finding]        #: silenced by ``# repro: noqa``
     files_checked: int
     rules_run: List[str]
-    #: Rel paths the report covers: every checked file, or only the
-    #: git-touched ones under ``--changed`` (the baseline update scope).
-    linted: List[str]
 
     @property
     def ok(self) -> bool:
@@ -392,7 +388,6 @@ def run_rules(
 ) -> Tuple[List[Finding], List[Finding]]:
     """Run every rule over every applicable file.
 
-    Returns ``(findings, suppressed)``; baseline filtering happens in
-    the caller so ``--update-baseline`` sees the raw set.
+    Returns ``(findings, suppressed)``.
     """
     return finish_run([analyze_file(src, rules) for src in files], rules)

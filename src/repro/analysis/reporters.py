@@ -3,13 +3,14 @@
 The JSON schema is stable and versioned (``REPORT_SCHEMA_VERSION``);
 ``tests/analysis`` locks it, since dashboards and the CI annotation
 step consume it.  Version 3 removed the ``files_analyzed``/
-``files_cached`` summary keys that version 2 added.
+``files_cached`` summary keys that version 2 added; version 4 removed
+the ``baselined`` list and its summary count, with the lint baseline.
 
 SARIF 2.1.0 output (``repro lint --sarif``) feeds GitHub code
 scanning: findings annotate the PR diff at their exact location, and
-``partialFingerprints`` carries the same stable fingerprint the
-baseline uses, so an alert tracks a finding across unrelated edits
-exactly like the baseline does.
+``partialFingerprints`` carries the finding's stable fingerprint
+(line numbers excluded), so an alert tracks a finding across unrelated
+edits.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Any, Dict, List
 
 from .engine import Finding, LintResult
 
-REPORT_SCHEMA_VERSION = 3
+REPORT_SCHEMA_VERSION = 4
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = (
@@ -45,11 +46,9 @@ def render_json(result: LintResult) -> Dict[str, Any]:
         "schema": REPORT_SCHEMA_VERSION,
         "ok": result.ok,
         "findings": [_finding_payload(f) for f in result.findings],
-        "baselined": [_finding_payload(f) for f in result.baselined],
         "suppressed": [_finding_payload(f) for f in result.suppressed],
         "summary": {
             "new": len(result.findings),
-            "baselined": len(result.baselined),
             "suppressed": len(result.suppressed),
             "files_checked": result.files_checked,
             "rules_run": list(result.rules_run),
@@ -66,7 +65,6 @@ def render_text(result: LintResult) -> List[str]:
         )
     summary = (
         f"{len(result.findings)} finding(s), "
-        f"{len(result.baselined)} baselined, "
         f"{len(result.suppressed)} suppressed, "
         f"{result.files_checked} file(s) checked"
     )
@@ -98,9 +96,8 @@ def _sarif_result(finding: Finding) -> Dict[str, Any]:
 def render_sarif(result: LintResult) -> Dict[str, Any]:
     """SARIF 2.1.0 log for GitHub code scanning upload.
 
-    Baselined findings are included at ``note`` level (they exist, they
-    are acknowledged debt); suppressed findings are omitted entirely —
-    a ``# repro: noqa`` is a reviewed policy decision, not an alert.
+    Suppressed findings are omitted — a ``# repro: noqa`` is a
+    reviewed policy decision, not an alert.
     """
     from .rules import rule_catalog  # local: keep reporter import light
 
@@ -130,10 +127,6 @@ def render_sarif(result: LintResult) -> Dict[str, Any]:
     })
 
     results = [_sarif_result(f) for f in result.findings]
-    for finding in result.baselined:
-        entry = _sarif_result(finding)
-        entry["level"] = "note"
-        results.append(entry)
 
     return {
         "$schema": SARIF_SCHEMA_URI,

@@ -1,27 +1,21 @@
 """Contract rules: cross-file agreements that must never drift.
 
-The simulator's instrumentation bus declares its topics and their
-fields in ``repro.sim.bus``, and ``Simulator.on`` rejects a subscriber
-that does not match them.  ``emit()`` itself is unchecked, to stay
-free when nobody listens, so a typo in an emit topic or its gate does
-not fail loudly — the subscribed checker just never fires and
-validation silently loses coverage.  Likewise the result cache trusts
-``SCHEMA_VERSION`` to change whenever ``SessionResult`` changes shape,
-and the parallel fabric trusts every shipped callable to survive
-pickling.  These rules make each of those handshakes checkable at lint
-time:
+The result cache trusts ``SCHEMA_VERSION`` to change whenever
+``SessionResult`` changes shape, and the parallel fabric trusts every
+shipped callable to survive pickling.  These rules make each of those
+handshakes checkable at lint time:
 
 ========  ==========================================================
-REP201    a subscribed topic has no emit() site anywhere (dead checker)
-REP202    an emitted topic is a near-miss of a subscribed topic (typo),
-          or an ``if "<t>" in sim.topics:`` gate names a topic nothing
-          emits or guards an emit of a different topic
-REP203    emit() with a non-literal topic (defeats static checking)
 REP204    SessionResult shape changed without a SCHEMA_FINGERPRINT /
           SCHEMA_VERSION bump
 REP205    lambda / nested closure handed to the parallel fabric
           (unpicklable in worker processes)
 ========  ==========================================================
+
+The emit bus needs no rule here: its topics are constants in
+``repro.sim.bus``, so a misspelled topic is a ``NameError``, and
+``Simulator.on`` rejects an undeclared topic or a handler of the wrong
+shape.
 """
 
 from __future__ import annotations
@@ -31,156 +25,6 @@ from typing import Iterable, List, Optional, Set, Tuple
 
 from ..engine import Finding, ProjectRule, Rule, SourceFile
 from ..project import ProjectIndex, session_result_fingerprint
-
-
-def _edit_distance(a: str, b: str, limit: int = 3) -> int:
-    """Levenshtein distance, capped at ``limit`` for early exit."""
-    if abs(len(a) - len(b)) > limit:
-        return limit + 1
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        best = i
-        for j, cb in enumerate(b, start=1):
-            cost = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            )
-            current.append(cost)
-            best = min(best, cost)
-        if best > limit:
-            return limit + 1
-        previous = current
-    return previous[-1]
-
-
-# ----------------------------------------------------------------------
-class OrphanSubscriptionRule(ProjectRule):
-    """REP201: subscriptions to topics nothing emits."""
-
-    id = "REP201"
-    title = "subscription to a topic with no emitter"
-    rationale = (
-        "A checker subscribed to a topic no code emits can never fire; "
-        "the validation it implements is silently gone.  Emitter and "
-        "subscriber topic strings must match exactly."
-    )
-
-    def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
-        emitted = set(index.emitted_topics)
-        has_dynamic = bool(index.dynamic_topics)
-        for topic, sites in sorted(index.subscribed_topics.items()):
-            if topic in emitted:
-                continue
-            for site in sites:
-                hint = ""
-                near = _nearest(topic, emitted)
-                if near is not None:
-                    hint = f" (did you mean {near!r}?)"
-                if has_dynamic:
-                    hint += " (note: dynamic emit topics exist and were not checked)"
-                yield Finding(
-                    rule=self.id, severity=self.severity,
-                    path=site.path, line=site.line, col=site.col,
-                    message=(
-                        f"subscribed topic {topic!r} is never emitted — "
-                        f"the handler can never fire{hint}"
-                    ),
-                )
-
-
-class TopicNearMissRule(ProjectRule):
-    """REP202: emit topics and emit gates that miss their counterpart."""
-
-    id = "REP202"
-    title = "emit topic or emit gate does not match its counterpart"
-    rationale = (
-        "An emit site whose topic differs from a subscribed topic by a "
-        "character or two is almost certainly a typo: the subscriber "
-        "keeps matching other emit sites, so nothing fails at runtime — "
-        "events from this site just vanish.  The same holds for the "
-        "per-topic gate in front of an emit: a gate string no emit "
-        "publishes, or one naming a topic other than the emit it "
-        "guards, switches that emit off (or on) for the wrong "
-        "subscribers, silently."
-    )
-
-    def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
-        subscribed = set(index.subscribed_topics)
-        for topic, sites in sorted(index.emitted_topics.items()):
-            if topic in subscribed:
-                continue
-            near = _nearest(topic, subscribed, limit=2)
-            if near is None:
-                continue  # a genuinely unsubscribed topic is fine
-            for site in sites:
-                yield Finding(
-                    rule=self.id, severity=self.severity,
-                    path=site.path, line=site.line, col=site.col,
-                    message=(
-                        f"emitted topic {topic!r} looks like a typo of "
-                        f"subscribed topic {near!r} — events from this "
-                        "site reach no subscriber"
-                    ),
-                )
-        emitted = set(index.emitted_topics)
-        for gate in index.gates:
-            if gate.topic not in emitted:
-                near = _nearest(gate.topic, emitted, limit=2)
-                hint = f" (did you mean {near!r}?)" if near else ""
-                yield Finding(
-                    rule=self.id, severity=self.severity,
-                    path=gate.path, line=gate.line, col=gate.col,
-                    message=(
-                        f"emit gate tests {gate.topic!r} but no emit() "
-                        f"publishes that topic{hint}"
-                    ),
-                )
-            for site in gate.stray_emits:
-                yield Finding(
-                    rule=self.id, severity=self.severity,
-                    path=site.path, line=site.line, col=site.col,
-                    message=(
-                        f"emit of {site.topic!r} is gated on "
-                        f"{gate.topic!r} (line {gate.line}) — it fires "
-                        f"only while {gate.topic!r} has a subscriber"
-                    ),
-                )
-
-
-def _nearest(
-    topic: str, candidates: Set[str], limit: int = 2
-) -> Optional[str]:
-    best: Optional[Tuple[int, str]] = None
-    for candidate in sorted(candidates):
-        distance = _edit_distance(topic, candidate, limit=limit)
-        if distance <= limit and (best is None or distance < best[0]):
-            best = (distance, candidate)
-    return best[1] if best else None
-
-
-class DynamicTopicRule(ProjectRule):
-    """REP203: emit() with a computed topic string."""
-
-    id = "REP203"
-    title = "dynamic emit topic"
-    rationale = (
-        "A computed topic cannot be cross-checked against the "
-        "subscriber registry; every topic must be a string literal at "
-        "the emit site."
-    )
-
-    def check_project(self, index: ProjectIndex) -> Iterable[Finding]:
-        for site in index.dynamic_topics:
-            yield Finding(
-                rule=self.id, severity=self.severity,
-                path=site.path, line=site.line, col=site.col,
-                message=(
-                    "emit() topic is not a string literal — static "
-                    "emitter/subscriber cross-checking is impossible here"
-                ),
-            )
 
 
 # ----------------------------------------------------------------------
@@ -314,9 +158,6 @@ def _nested_function_names(tree: ast.AST) -> Set[str]:
 
 
 CONTRACT_RULES: Tuple[type, ...] = (
-    OrphanSubscriptionRule,
-    TopicNearMissRule,
-    DynamicTopicRule,
     SchemaFingerprintRule,
     FabricPickleRule,
 )

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..kernel.pressure import MemoryPressureLevel
+from ..sim.bus import PRESSURE_STATE, VIDEO_FRAME
 from ..sim.clock import Time, to_seconds
 from ..sim.engine import Simulator
 
@@ -74,8 +75,8 @@ class TraceCollector:
         self._transitions: List[Tuple[Time, MemoryPressureLevel]] = [
             (sim.now, MemoryPressureLevel.NORMAL)
         ]
-        sim.on("video.frame", self._on_frame)
-        sim.on("pressure.state", self._on_pressure)
+        sim.on(VIDEO_FRAME, self._on_frame)
+        sim.on(PRESSURE_STATE, self._on_pressure)
 
     # ------------------------------------------------------------------
     def _on_frame(

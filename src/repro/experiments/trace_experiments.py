@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from ..core.session import DEVICE_FACTORIES, StreamingSession
 from ..sched.scheduler import SchedClass
 from ..sched.states import ThreadState
+from ..sim.bus import PROCESS_KILL
 from ..sim.clock import seconds
 from ..trace.analysis import (
     PreemptionStats,
@@ -110,7 +111,7 @@ def profiled_run(
         dev.mmcqd.thread.sched_class = SchedClass.FOREGROUND
     kills: List[Tuple[float, str]] = []
     dev.sim.on(
-        "process.kill",
+        PROCESS_KILL,
         lambda time, process, reason: kills.append((time / 1e6, process.name)),
     )
     session = StreamingSession(

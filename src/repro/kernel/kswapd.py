@@ -12,6 +12,7 @@ became the single most-running thread, 2.3 s → 22 s).
 from __future__ import annotations
 
 from ..sched.scheduler import SchedClass, Scheduler, Thread
+from ..sim.bus import KSWAPD_SLEEP, KSWAPD_WAKE
 from ..sim.clock import millis
 from ..sim.engine import Simulator
 from .manager import MemoryManager
@@ -41,16 +42,16 @@ class Kswapd:
             return
         self.active = True
         self.manager.vmstat.kswapd_wakeups += 1
-        if "kswapd.wake" in self.sim.topics:
-            self.sim.emit("kswapd.wake")
+        if KSWAPD_WAKE in self.sim.topics:
+            self.sim.emit(KSWAPD_WAKE)
         self._balance()
 
     def _balance(self) -> None:
         state = self.manager.state
         if state.above_high:
             self.active = False
-            if "kswapd.sleep" in self.sim.topics:
-                self.sim.emit("kswapd.sleep")
+            if KSWAPD_SLEEP in self.sim.topics:
+                self.sim.emit(KSWAPD_SLEEP)
             return
         plan = build_plan(
             self.manager.table.alive,

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..sched.scheduler import SchedClass, Scheduler, Thread
+from ..sim.bus import LMKD_CONSIDER
 from ..sim.clock import Time, millis
 from ..sim.engine import Simulator
 from .manager import MemoryManager
@@ -68,8 +69,8 @@ class Lmkd:
             return
         victim = candidates[0]
         self._pending = victim
-        if "lmkd.consider" in self.sim.topics:
-            self.sim.emit("lmkd.consider", victim=victim, pressure=pressure)
+        if LMKD_CONSIDER in self.sim.topics:
+            self.sim.emit(LMKD_CONSIDER, victim=victim, pressure=pressure)
         self.thread.post(
             KILL_CPU_US,
             on_complete=lambda: self._execute(victim, pressure),

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from ..sched.scheduler import Scheduler, Thread
+from ..sim.bus import ALLOC_STALL, MEMORY_PLAN, PROCESS_KILL
 from ..sim.clock import Time, millis
 from ..sim.engine import Simulator
 from .memory import MemoryState
@@ -127,8 +128,8 @@ class MemoryManager:
             self.vmstat.lmkd_kills += 1
         elif reason == "oom":
             self.vmstat.oom_kills += 1
-        if "process.kill" in self.sim.topics:
-            self.sim.emit("process.kill", process=process, reason=reason)
+        if PROCESS_KILL in self.sim.topics:
+            self.sim.emit(PROCESS_KILL, process=process, reason=reason)
         for callback in list(process.on_kill):
             callback(reason)
         self.monitor.update()
@@ -171,8 +172,8 @@ class MemoryManager:
                 "with no thread to perform direct reclaim"
             )
         self.vmstat.allocstall += 1
-        if "alloc.stall" in self.sim.topics:
-            self.sim.emit("alloc.stall", process=process, pages=pages)
+        if ALLOC_STALL in self.sim.topics:
+            self.sim.emit(ALLOC_STALL, process=process, pages=pages)
         self._direct_reclaim(process, thread, pages, kind, hot_fraction, on_granted)
         return False
 
@@ -413,9 +414,9 @@ class MemoryManager:
                 )
 
         self.vmstat.record_scan(self.sim.now, plan.scanned, freed_now)
-        if "memory.plan" in self.sim.topics:
+        if MEMORY_PLAN in self.sim.topics:
             self.sim.emit(
-                "memory.plan",
+                MEMORY_PLAN,
                 manager=self,
                 freed=freed_now,
                 writeback=dirty_scheduled,

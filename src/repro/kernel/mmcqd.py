@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Optional
 
 from ..sched.scheduler import SchedClass, Scheduler, Thread
+from ..sim.bus import IO_COMPLETE
 from ..sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a package-import cycle
@@ -96,8 +97,8 @@ class Mmcqd:
 
     def _finish(self, request: IoRequest) -> None:
         self.completed_requests += 1
-        if "io.complete" in self.sim.topics:
-            self.sim.emit("io.complete", kind=request.kind, pages=request.pages)
+        if IO_COMPLETE in self.sim.topics:
+            self.sim.emit(IO_COMPLETE, kind=request.kind, pages=request.pages)
         if request.on_complete is not None:
             request.on_complete()
         self._issue_next()

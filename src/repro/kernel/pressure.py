@@ -17,6 +17,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
+from ..sim.bus import PRESSURE_SIGNAL, PRESSURE_STATE
 from ..sim.clock import Time, seconds
 from ..sim.engine import Simulator
 from ..sim.periodic import PeriodicService
@@ -117,9 +118,9 @@ class PressureMonitor:
             previous = self.level
             self.level = new_level
             self.state_log.append((self.sim.now, new_level))
-            if "pressure.state" in self.sim.topics:
+            if PRESSURE_STATE in self.sim.topics:
                 self.sim.emit(
-                    "pressure.state", level=new_level, previous=previous
+                    PRESSURE_STATE, level=new_level, previous=previous
                 )
             if new_level > MemoryPressureLevel.NORMAL:
                 self._emit(new_level)
@@ -139,8 +140,8 @@ class PressureMonitor:
     def _emit(self, level: MemoryPressureLevel) -> None:
         self._last_emit = self.sim.now
         self.signal_log.append((self.sim.now, level))
-        if "pressure.signal" in self.sim.topics:
-            self.sim.emit("pressure.signal", level=level)
+        if PRESSURE_SIGNAL in self.sim.topics:
+            self.sim.emit(PRESSURE_SIGNAL, level=level)
         for callback in self._subscribers:
             callback(level, self.sim.now)
 

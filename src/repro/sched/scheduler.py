@@ -22,6 +22,9 @@ import enum
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
+from ..sim.bus import (
+    SCHED_MIGRATE, SCHED_PREEMPT, SCHED_STATE, SCHED_SWITCH, SCHED_WAKEUP,
+)
 from ..sim.clock import Time, millis
 from ..sim.engine import Simulator
 from .cpu import Core
@@ -291,7 +294,7 @@ class Scheduler:
             if self._elided_count:
                 self._materialize_lower(thread.sched_class)
             topics = self._topics
-            if "sched.state" not in topics and "sched.wakeup" not in topics:
+            if SCHED_STATE not in topics and SCHED_WAKEUP not in topics:
                 rq = self._rq
                 if not (rq[0] or rq[1] or rq[2] or rq[3]):
                     core = self._pick_core(thread)
@@ -312,8 +315,8 @@ class Scheduler:
                         return
             self._transition(thread, ThreadState.RUNNABLE)
             self._rq[thread.sched_class].append(thread)
-            if "sched.wakeup" in topics:
-                self.sim.emit("sched.wakeup", thread=thread)
+            if SCHED_WAKEUP in topics:
+                self.sim.emit(SCHED_WAKEUP, thread=thread)
         self._dispatch()
 
     def _transition(self, thread: Thread, new_state: ThreadState) -> None:
@@ -327,8 +330,8 @@ class Scheduler:
         accounting.totals[old] += now - accounting.since
         accounting.current = new_state
         accounting.since = now
-        if "sched.state" in self._topics:
-            self.sim.emit("sched.state", thread=thread, old=old, new=new_state)
+        if SCHED_STATE in self._topics:
+            self.sim.emit(SCHED_STATE, thread=thread, old=old, new=new_state)
 
     def _core_of(self, thread: Thread) -> Core:
         for core in self.cores:
@@ -442,9 +445,9 @@ class Scheduler:
         self.preemption_count += 1
         self._rq[victim.sched_class].append(victim)
         core.current = None
-        if "sched.preempt" in self._topics:
+        if SCHED_PREEMPT in self._topics:
             self.sim.emit(
-                "sched.preempt", victim=victim, victor=victor, core=core.index,
+                SCHED_PREEMPT, victim=victim, victor=victor, core=core.index,
                 kind="preempt",
             )
         self._start_slice(victor, core)
@@ -460,9 +463,9 @@ class Scheduler:
             return
         if thread.last_core is not None and thread.last_core != core.index:
             thread.migrations += 1
-            if "sched.migrate" in self._topics:
+            if SCHED_MIGRATE in self._topics:
                 self.sim.emit(
-                    "sched.migrate",
+                    SCHED_MIGRATE,
                     thread=thread,
                     src=thread.last_core,
                     dst=core.index,
@@ -472,8 +475,8 @@ class Scheduler:
         core.slice_started = self.sim.now
         self._transition(thread, ThreadState.RUNNING)
         self.context_switches += 1
-        if "sched.switch" in self._topics:
-            self.sim.emit("sched.switch", thread=thread, core=core.index)
+        if SCHED_SWITCH in self._topics:
+            self.sim.emit(SCHED_SWITCH, thread=thread, core=core.index)
         self._arm_slice_end(core)
 
     def _arm_slice_end(self, core: Core) -> None:
@@ -694,9 +697,9 @@ class Scheduler:
             thread.preemptions_suffered += 1
             self.preemption_count += 1
             self._rq[thread.sched_class].append(thread)
-            if "sched.preempt" in self._topics:
+            if SCHED_PREEMPT in self._topics:
                 self.sim.emit(
-                    "sched.preempt", victim=thread, victor=waiter,
+                    SCHED_PREEMPT, victim=thread, victor=waiter,
                     core=core.index, kind="rotate",
                 )
         else:

@@ -42,7 +42,8 @@ class Simulator:
         self._hooks: Dict[str, List[Callable[..., None]]] = {}
         #: Live, read-only view of the topics with at least one
         #: subscriber (the keys of ``_hooks``).  Hot call sites test
-        #: ``"<topic>" in sim.topics`` before building an emit payload,
+        #: ``VIDEO_FRAME in sim.topics`` (a :mod:`~repro.sim.bus`
+        #: constant) before building an emit payload,
         #: so a site costs one set probe unless its own topic is
         #: subscribed — a listener on one topic does not tax the
         #: others.  :meth:`off` drops a topic's key with its last

@@ -74,28 +74,23 @@ INSERTION_WINDOW = 256
 class Event:
     """A single scheduled callback.
 
-    Instances are created by :meth:`repro.sim.engine.Simulator.schedule`;
-    user code holds them only to call :meth:`cancel`.
+    Instances are created by :meth:`repro.sim.engine.Simulator.schedule`
+    and :meth:`EventQueue.push` only, each with ``Event.__new__`` and
+    every slot set by hand (no ``__init__`` call on the hot path):
+    ``time``, ``seq``, ``fn``, ``args``, ``label``, ``cancelled`` (False)
+    and ``counted`` (False; True once the event has left the queue's
+    live count).  User code holds them only to call :meth:`cancel`.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "label", "counted")
 
-    def __init__(
-        self,
-        time: Time,
-        seq: int,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
-        label: str = "",
-    ) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.label = label
-        #: True once this event has left the queue's live count.
-        self.counted = False
+    time: Time
+    seq: int
+    fn: Callable[..., Any]
+    args: Tuple[Any, ...]
+    cancelled: bool
+    label: str
+    counted: bool
 
     def cancel(self) -> None:
         """Prevent this event from firing; safe to call more than once."""

@@ -20,8 +20,11 @@ Walks one or more store roots and classifies every file it finds:
 * **journal** (``*.journal``) — header parsed, every record's CRC
   checked; a torn or garbled record is an integrity finding (resume
   skips it, fsck names it);
-* **quarantine contents** — informational only: quarantine is exactly
-  where corrupt artifacts are supposed to be.
+* **quarantine contents** — any file under a ``quarantine/`` directory
+  at any depth below the root, so a nested store's quarantine (the
+  arena cache's ``<cache>/arena/quarantine/``, the trace store's
+  ``<cache>/traces/quarantine/``) counts too; informational only:
+  quarantine is exactly where corrupt artifacts are supposed to be.
 
 ``--repair`` also quarantines every artifact that fails verification.
 
@@ -290,12 +293,11 @@ def scrub_root(
     """Scrub one store root (recursively); see module docstring."""
     root = Path(root)
     store = StoreFsck(root=str(root))
-    quarantine = root / QUARANTINE_DIR
     mover = Quarantine(root, label=f"fsck of {root}") if repair else None
     for path in sorted(root.rglob("*")):
         if not path.is_file():
             continue
-        if quarantine in path.parents:
+        if QUARANTINE_DIR in path.relative_to(root).parts[:-1]:
             store.quarantined += 1
             continue
         name = path.name
@@ -338,14 +340,17 @@ def scrub(
 def default_roots() -> List[Path]:
     """The stores a bare ``repro fsck`` scrubs: result cache + traces.
 
+    The trace store is its own root only when it lies outside the cache
+    root; the default ``<cache>/traces`` is already under the cache
+    root's walk, and a second root would scrub every trace twice.
     Imported lazily so the storage package itself stays importable
     without the experiment stack.
     """
     from ..experiments.parallel import default_cache_dir
     from ..trace.store import default_trace_dir
 
-    roots: List[Path] = [default_cache_dir()]
+    cache_root = default_cache_dir()
     trace_root = default_trace_dir()
-    if trace_root not in roots:
-        roots.append(trace_root)
-    return roots
+    if trace_root.resolve().is_relative_to(cache_root.resolve()):
+        return [cache_root]
+    return [cache_root, trace_root]

@@ -35,6 +35,7 @@ import numpy as np
 
 from ..sched.scheduler import Thread
 from ..sched.states import ThreadState
+from ..sim.bus import SCHED_MIGRATE, SCHED_PREEMPT, SCHED_STATE
 from ..sim.clock import Time
 from ..sim.engine import Simulator
 from .view import EVENT_COLUMNS, STATE_INDEX, TraceView
@@ -61,9 +62,9 @@ class TraceRecorder(TraceView):
         self._end_time: Optional[Time] = None
         #: The columns built at detach.
         self._frozen: Optional[Dict[str, np.ndarray]] = None
-        sim.on("sched.state", self._on_state)
-        sim.on("sched.preempt", self._on_preempt)
-        sim.on("sched.migrate", self._on_migrate)
+        sim.on(SCHED_STATE, self._on_state)
+        sim.on(SCHED_PREEMPT, self._on_preempt)
+        sim.on(SCHED_MIGRATE, self._on_migrate)
 
     @property
     def end_time(self) -> Time:
@@ -94,9 +95,9 @@ class TraceRecorder(TraceView):
             return
         self._end_time = self.sim.now
         sim = self.sim
-        sim.off("sched.state", self._on_state)
-        sim.off("sched.preempt", self._on_preempt)
-        sim.off("sched.migrate", self._on_migrate)
+        sim.off(SCHED_STATE, self._on_state)
+        sim.off(SCHED_PREEMPT, self._on_preempt)
+        sim.off(SCHED_MIGRATE, self._on_migrate)
         self._frozen = self._build_columns()
         self._threads.clear()
         self._rows.clear()

@@ -10,9 +10,10 @@ engine's instrumentation topics (``memory.plan``, ``pressure.state``,
 ``sched.switch``, ``video.frame``, …) and re-derives each invariant
 independently at every event boundary, plus on a periodic poll.
 
-Every emit site is gated on its own topic (``"<topic>" in
-sim.topics``): with no harness (the common case) a site costs one set
-probe, and a harness pays only for the topics it subscribes.  None of
+Every emit site is gated on its own topic (``MEMORY_PLAN in
+sim.topics``, a :mod:`repro.sim.bus` constant): with no harness (the
+common case) a site costs one set probe, and a harness pays only for
+the topics it subscribes.  None of
 them is ``sched.state`` or ``sched.wakeup``, so a validated session
 keeps the scheduler's idle-core wakeup fast path.  Checker
 callbacks are strictly read-only — attaching a harness never changes a
@@ -35,6 +36,10 @@ from ..kernel.memory import MemoryAccountingError, MemoryState
 from ..kernel.pressure import MemoryPressureLevel, PressureMonitor
 from ..sched.scheduler import SchedClass, Thread
 from ..sched.states import ThreadState
+from ..sim.bus import (
+    KSWAPD_WAKE, MEMORY_PLAN, PRESSURE_SIGNAL, PRESSURE_STATE, PROCESS_KILL,
+    SCHED_SWITCH, SESSION_END, VIDEO_FRAME,
+)
 from ..sim.clock import Time, seconds, to_seconds
 from ..sim.periodic import PeriodicService
 
@@ -97,8 +102,8 @@ class PageConservationChecker(Checker):
 
     def attach(self, harness: "ValidationHarness") -> None:
         super().attach(harness)
-        self.sim.on("memory.plan", self._on_event)
-        self.sim.on("process.kill", self._on_event)
+        self.sim.on(MEMORY_PLAN, self._on_event)
+        self.sim.on(PROCESS_KILL, self._on_event)
 
     def _on_event(self, time: Time, **_payload: object) -> None:
         self.verify()
@@ -150,9 +155,9 @@ class PressureOrderingChecker(Checker):
 
     def attach(self, harness: "ValidationHarness") -> None:
         super().attach(harness)
-        self.sim.on("pressure.state", self._on_state)
-        self.sim.on("pressure.signal", self._on_signal)
-        self.sim.on("kswapd.wake", self._on_kswapd_wake)
+        self.sim.on(PRESSURE_STATE, self._on_state)
+        self.sim.on(PRESSURE_SIGNAL, self._on_signal)
+        self.sim.on(KSWAPD_WAKE, self._on_kswapd_wake)
         self._last_signal: Optional[Tuple[Time, MemoryPressureLevel]] = None
         self._changed_since_signal = False
 
@@ -258,7 +263,7 @@ class SchedulerSanityChecker(Checker):
 
     def attach(self, harness: "ValidationHarness") -> None:
         super().attach(harness)
-        self.sim.on("sched.switch", self._on_switch)
+        self.sim.on(SCHED_SWITCH, self._on_switch)
 
     def _on_switch(
         self, time: Time, thread: Thread, core: int, **_payload: object
@@ -345,8 +350,8 @@ class VideoPipelineChecker(Checker):
 
     def attach(self, harness: "ValidationHarness") -> None:
         super().attach(harness)
-        self.sim.on("video.frame", self._on_frame)
-        self.sim.on("session.end", self._on_session_end)
+        self.sim.on(VIDEO_FRAME, self._on_frame)
+        self.sim.on(SESSION_END, self._on_session_end)
 
     def _on_frame(
         self,

@@ -24,6 +24,7 @@ from typing import Callable, List, Optional
 from ..kernel.manager import MemoryManager
 from ..kernel.process import MemProcess
 from ..sched.scheduler import Thread
+from ..sim.bus import VIDEO_FRAME
 from ..sim.clock import TICKS_PER_SECOND, Time, to_seconds
 from ..sim.engine import Simulator
 from .clients import ClientProfile
@@ -300,9 +301,9 @@ class RenderPipeline:
             self.stats.dropped_decode_late += 1
         else:
             self._in_flight += 1
-        if "video.frame" in self.sim.topics:
+        if VIDEO_FRAME in self.sim.topics:
             self.sim.emit(
-                "video.frame",
+                VIDEO_FRAME,
                 phase="decode",
                 pipeline=self,
                 in_flight=self._in_flight,
@@ -350,9 +351,9 @@ class RenderPipeline:
         else:
             self.stats.frames_rendered += 1
             self.stats.render_times.append(to_seconds(self.sim.now))
-        if "video.frame" in self.sim.topics:
+        if VIDEO_FRAME in self.sim.topics:
             self.sim.emit(
-                "video.frame",
+                VIDEO_FRAME,
                 phase="render",
                 pipeline=self,
                 in_flight=self._in_flight,
@@ -380,9 +381,9 @@ class RenderPipeline:
 
         for _ in range(to_skip):
             self._consume_frame(advance_stats_only=True)
-        if "video.frame" in self.sim.topics:
+        if VIDEO_FRAME in self.sim.topics:
             self.sim.emit(
-                "video.frame",
+                VIDEO_FRAME,
                 phase="skip",
                 pipeline=self,
                 in_flight=self._in_flight,

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from ..device.device import Device
 from ..kernel.pressure import MemoryPressureLevel
 from ..sched.scheduler import SchedClass
+from ..sim.bus import SESSION_END
 from ..sim.clock import Time, millis, seconds, to_seconds
 from ..sim.periodic import PeriodicService
 from .buffer import DEFAULT_CAPACITY_S, PlaybackBuffer
@@ -417,8 +418,8 @@ class VideoPlayer:
         )
         self.result.lmkd_kills = self.manager.vmstat.lmkd_kills
         self.result.oom_kills = self.manager.vmstat.oom_kills
-        if "session.end" in self.sim.topics:
-            self.sim.emit("session.end", player=self)
+        if SESSION_END in self.sim.topics:
+            self.sim.emit(SESSION_END, player=self)
 
     @property
     def finished(self) -> bool:

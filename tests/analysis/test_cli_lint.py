@@ -1,4 +1,4 @@
-"""The `repro lint` CLI: exit codes, JSON output, baseline update."""
+"""The `repro lint` CLI: exit codes, JSON output, --changed."""
 
 import json
 import os
@@ -19,7 +19,7 @@ def test_exit_zero_on_clean_target(monkeypatch):
 
 def test_exit_one_on_findings(monkeypatch):
     monkeypatch.chdir(FIXTURES)
-    assert main(["repro/kernel/bad_random.py", "--no-baseline"]) == 1
+    assert main(["repro/kernel/bad_random.py"]) == 1
 
 
 def test_exit_two_on_missing_path(monkeypatch, tmp_path):
@@ -55,42 +55,22 @@ def test_list_rules(monkeypatch, capsys):
     monkeypatch.chdir(FIXTURES)
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in ("REP101", "REP201", "REP301"):
+    for rule_id in ("REP101", "REP204", "REP301"):
         assert rule_id in out
 
 
 def test_rules_filter(monkeypatch):
     monkeypatch.chdir(FIXTURES)
     # bad_random violates REP102 only; filtering to REP101 passes it.
-    assert main([
-        "repro/kernel/bad_random.py", "--no-baseline", "--rules", "REP101",
-    ]) == 0
+    assert main(["repro/kernel/bad_random.py", "--rules", "REP101"]) == 0
 
 
 def test_json_output(monkeypatch, capsys):
     monkeypatch.chdir(FIXTURES)
-    assert main([
-        "repro/kernel/bad_random.py", "--no-baseline", "--json",
-    ]) == 1
+    assert main(["repro/kernel/bad_random.py", "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
     assert payload["summary"]["new"] == len(payload["findings"])
-
-
-def test_update_baseline_then_green(monkeypatch, tmp_path):
-    """--update-baseline grandfathers current findings, like
-    `repro validate --update-golden` re-records digests."""
-    monkeypatch.chdir(FIXTURES)
-    baseline = tmp_path / "baseline.json"
-    bad = "repro/kernel/bad_random.py"
-    common = ["--baseline", str(baseline)]
-    assert main([bad, *common, "--no-baseline"]) == 1
-    assert main([bad, *common, "--update-baseline"]) == 0
-    assert baseline.exists()
-    # Grandfathered now: same findings no longer fail the run.
-    assert main([bad, *common]) == 0
-    # A new violation on top of the baseline still fails.
-    assert main([bad, "repro/kernel/bad_hash.py", *common]) == 1
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +96,7 @@ def _fixture_tree(root, monkeypatch):
 
 
 def _reported(capsys, *args):
-    assert main(["repro", "--no-baseline", "--json", *args]) == 1
+    assert main(["repro", "--json", *args]) == 1
     payload = json.loads(capsys.readouterr().out)
     return {finding["path"] for finding in payload["findings"]}
 

@@ -11,8 +11,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def findings_for(rel_path, rule):
     result = run_lint(
-        [FIXTURES / rel_path], root=FIXTURES, use_baseline=False,
-        only_rules=[rule],
+        [FIXTURES / rel_path], root=FIXTURES, only_rules=[rule],
     )
     return result.findings
 
@@ -131,7 +130,7 @@ def test_entropy_sources_fire_at_their_own_line_outside_the_core():
     loop are each flagged at the line that reads them."""
     rel_path = "repro/experiments/bad_entropy_sources.py"
     result = run_lint(
-        [FIXTURES / rel_path], root=FIXTURES, use_baseline=False,
+        [FIXTURES / rel_path], root=FIXTURES,
         only_rules=["REP101", "REP102", "REP104"],
     )
     found = {(f.rule, f.line) for f in result.findings}
@@ -147,7 +146,7 @@ def test_good_fixture_is_clean():
     result = run_lint(
         [FIXTURES / "repro/kernel/good_deterministic.py",
          FIXTURES / "repro/experiments/good_seeded_sources.py"],
-        root=FIXTURES, use_baseline=False,
+        root=FIXTURES,
     )
     assert result.ok
     assert result.files_checked == 2

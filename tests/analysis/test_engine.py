@@ -1,4 +1,4 @@
-"""Engine mechanics: suppressions, baseline round-trip, reporters, scope."""
+"""Engine mechanics: suppressions, fingerprints, reporters, scope."""
 
 import ast
 import json
@@ -8,11 +8,8 @@ from repro.analysis import (
     ALL_RULE_CLASSES,
     build_rules,
     collect_files,
-    load_baseline,
     rule_catalog,
     run_rules,
-    split_baselined,
-    write_baseline,
 )
 from repro.analysis.cli import run_lint
 from repro.analysis.engine import Finding, ImportMap, scope_key
@@ -24,7 +21,7 @@ REPO_ROOT = Path(__file__).parents[2]
 
 def lint(*rel_paths, rules=None):
     paths = [FIXTURES / rel for rel in rel_paths]
-    return run_lint(paths, root=FIXTURES, use_baseline=False, only_rules=rules)
+    return run_lint(paths, root=FIXTURES, only_rules=rules)
 
 
 # ----------------------------------------------------------------------
@@ -85,45 +82,14 @@ def test_repro_noqa_suppressions():
 
 
 # ----------------------------------------------------------------------
-# Baseline round-trip
+# Fingerprints
 # ----------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    result = lint("repro/kernel/bad_random.py")
-    assert not result.ok
-    baseline = tmp_path / "baseline.json"
-    write_baseline(result.findings, baseline)
-    allowed = load_baseline(baseline)
-    new, baselined = split_baselined(result.findings, allowed)
-    assert new == []
-    assert len(baselined) == len(result.findings)
-
-
-def test_baseline_count_budget_is_consumed(tmp_path):
-    finding = Finding(
-        rule="REP102", severity="error", path="a.py", line=1, col=1,
-        message="module-level draw",
-    )
-    twin = Finding(
-        rule="REP102", severity="error", path="a.py", line=9, col=1,
-        message="module-level draw",
-    )
-    baseline = tmp_path / "baseline.json"
-    write_baseline([finding], baseline)  # budget: one slot
-    new, baselined = split_baselined([finding, twin], load_baseline(baseline))
-    assert len(baselined) == 1
-    assert len(new) == 1  # the second identical finding is NOT grandfathered
-
-
-def test_baseline_is_line_number_independent():
+def test_fingerprint_is_line_number_independent():
     a = Finding(rule="R", severity="error", path="p.py", line=3, col=1,
                 message="m")
     b = Finding(rule="R", severity="error", path="p.py", line=300, col=7,
                 message="m")
     assert a.fingerprint == b.fingerprint
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == {}
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +101,7 @@ def test_json_reporter_schema():
     assert payload["schema"] == REPORT_SCHEMA_VERSION
     assert payload["ok"] is False
     assert set(payload["summary"]) == {
-        "new", "baselined", "suppressed", "files_checked", "rules_run",
+        "new", "suppressed", "files_checked", "rules_run",
     }
     for entry in payload["findings"]:
         assert set(entry) == {
@@ -180,10 +146,8 @@ def test_every_shipped_rule_fires_on_the_fixture_tree():
 
 
 def test_src_repro_is_clean():
-    """Acceptance: the shipped source tree passes with no baseline."""
-    result = run_lint(
-        [REPO_ROOT / "src" / "repro"], root=REPO_ROOT, use_baseline=False
-    )
+    """Acceptance: the shipped source tree passes."""
+    result = run_lint([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
     assert result.ok, "\n".join(
         f"{f.location()}: {f.rule} {f.message}" for f in result.findings
     )

@@ -7,10 +7,13 @@ import json
 import pytest
 
 from repro import cli
+from repro.arena import default_arena_cache_dir
 from repro.arena.leaderboard import _payload_digest, artifact_bytes
+from repro.experiments.parallel import ResultCache
 from repro.storage import (
     FsckReport,
     Seal,
+    default_roots,
     publish_bytes,
     record_crc,
     scrub,
@@ -174,6 +177,55 @@ def test_quarantined_files_are_counted_not_scrubbed(tmp_path):
     report = scrub([tmp_path])
     assert report.clean
     assert report.stores[0].quarantined == 1
+
+
+def test_bare_fsck_counts_a_nested_store_quarantine(tmp_path, monkeypatch):
+    """An arena entry the cache quarantined on read is evidence in
+    ``<cache>/arena/quarantine/``, not corruption, and stays put."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
+    arena = ResultCache(default_arena_cache_dir(), surface="arena-cache")
+    key = "ab" * 32
+    arena.put(key, PAYLOAD)
+    path = arena.path_for(key)
+    data = bytearray(path.read_bytes())
+    data[5] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.warns(RuntimeWarning, match="quarantined"):
+        assert arena.get(key) is None
+    [evidence] = (tmp_path / "arena" / "quarantine").iterdir()
+
+    for repair in (False, True):
+        report = scrub(default_roots(), repair=repair)
+        assert report.clean
+        [store] = report.stores
+        assert store.quarantined == 1 and store.findings == []
+    assert evidence.exists()
+
+
+def test_bare_fsck_scrubs_each_trace_once(tmp_path, monkeypatch, capsys):
+    """The default trace store lies in the cache root and is scrubbed by
+    its walk alone; a ``REPRO_TRACE_DIR`` elsewhere is a root of its own."""
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+    monkeypatch.delenv("REPRO_TRACE_DIR", raising=False)
+    (cache / "traces").mkdir(parents=True)
+    publish_enveloped(cache / "traces", "k.trace.npz")
+    assert default_roots() == [cache]
+
+    def verified_per_store():
+        assert cli.main(["fsck", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        return [store["verified"] for store in payload["stores"]]
+
+    assert verified_per_store() == [1]
+
+    elsewhere = tmp_path / "traces"
+    elsewhere.mkdir()
+    publish_enveloped(elsewhere, "k.trace.npz")
+    monkeypatch.setenv("REPRO_TRACE_DIR", str(elsewhere))
+    assert default_roots() == [cache, elsewhere]
+    assert verified_per_store() == [1, 1]
 
 
 def test_journal_scrub_flags_exactly_the_torn_records(tmp_path):
