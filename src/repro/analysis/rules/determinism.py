@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..engine import Finding, ImportMap, Rule, SourceFile, iter_calls
 

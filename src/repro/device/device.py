@@ -77,17 +77,17 @@ class Device:
         if self._booted:
             return self
         self._booted = True
-        duty_rng = self.sim.random.stream("device.system_duty")
+        system_threads = []
         for name, oom_adj, size_mb in self.profile.system_processes:
             process = self.memory.spawn_process(name, oom_adj, dirty_fraction=0.05)
             self.memory.seed_memory(
                 process, mb_to_pages(size_mb), file_share=0.3, hot_fraction=0.7
             )
             if name in ("system_server", "android.systemui"):
-                thread = self.memory.spawn_thread(
+                system_threads.append(self.memory.spawn_thread(
                     process, f"{name}.main", SchedClass.FOREGROUND
-                )
-                self._system_duty_loop(thread, duty=0.08, rng=duty_rng)
+                ))
+        self._system_duty_loop(system_threads, duty=0.08)
         rng = self.sim.random.stream("device.cached_apps")
         for i in range(self.profile.cached_app_count):
             size_mb = max(
@@ -108,16 +108,20 @@ class Device:
             self.cached_apps.append(process)
         return self
 
-    def _system_duty_loop(self, thread, duty: float, rng) -> None:
-        """Light ongoing CPU load from always-on system services."""
+    def _system_duty_loop(self, threads, duty: float) -> None:
+        """Light ongoing CPU load from always-on system services: one
+        clock posts a burst to each thread in turn."""
+        rng = self.sim.random.stream("device.system_duty")
         period = millis(25)
+        scale = period * duty
 
         def tick() -> None:
-            burst = period * duty * rng.lognormvariate(0.0, 0.3)
-            if burst >= 1.0:
-                thread.post(burst, label="sysduty")
+            for thread in threads:
+                burst = scale * rng.lognormvariate(0.0, 0.3)
+                if burst >= 1.0:
+                    thread.post(burst, label="sysduty")
 
-        # System services never stop; the first burst lands inline.
+        # System services never stop; the first bursts land inline.
         PeriodicService(self.sim, period, tick, label="sysduty").fire()
 
     def _watch_for_respawn(self, process: MemProcess, slot: int, size_mb: float) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..video.encoding import paper_catalog
-from .runner import CellResult, run_cell, run_cells
+from .runner import CellResult, run_cells
 
 #: The paper's three pressure regimes for §4.3.
 PRESSURES = ("normal", "moderate", "critical")

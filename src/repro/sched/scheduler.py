@@ -240,9 +240,34 @@ class Scheduler:
         """Enqueue a work item; wake the thread when appropriate."""
         if thread.dead:
             return
-        thread.queue.append(item)
-        if thread.accounting.current is ThreadState.SLEEPING:
-            self._advance(thread)
+        queue = thread.queue
+        queue.append(item)
+        if thread.accounting.current is not ThreadState.SLEEPING:
+            return
+        if item.__class__ is CpuWork and len(queue) == 1 and not self._elided_count:
+            topics = self._topics
+            rq = self._rq
+            if (
+                SCHED_STATE not in topics and SCHED_WAKEUP not in topics
+                and not (rq[0] or rq[1] or rq[2] or rq[3])
+            ):
+                core = self._pick_core(thread)
+                if core is not None:
+                    # Wakeup fast path: nothing else is runnable anywhere,
+                    # no core is fast-forwarding elided quanta, and an
+                    # idle core takes the thread immediately.  The
+                    # explicit route in _advance — RUNNABLE for zero
+                    # ticks, runqueue append, dispatch scan, remove — is
+                    # pure bookkeeping with identical accounting (the
+                    # skipped RUNNABLE interval has zero length), so go
+                    # straight to the slice.  Only a ``sched.state`` or
+                    # ``sched.wakeup`` subscriber (the trace recorder)
+                    # could see the difference, so those keep the
+                    # explicit route; ``sched.switch`` and
+                    # ``sched.migrate`` fire on both.
+                    self._start_slice(thread, core)
+                    return
+        self._advance(thread)
 
     def io_complete(self, thread: Thread) -> None:
         """Signal completion of the IoWait at the head of ``thread``'s queue."""
@@ -293,29 +318,9 @@ class Scheduler:
             # elided.
             if self._elided_count:
                 self._materialize_lower(thread.sched_class)
-            topics = self._topics
-            if SCHED_STATE not in topics and SCHED_WAKEUP not in topics:
-                rq = self._rq
-                if not (rq[0] or rq[1] or rq[2] or rq[3]):
-                    core = self._pick_core(thread)
-                    if core is not None:
-                        # Fast path: nothing else is runnable anywhere
-                        # and an idle core takes the thread immediately.
-                        # The explicit route — RUNNABLE for zero ticks,
-                        # runqueue append, dispatch scan, remove — is
-                        # pure bookkeeping with identical accounting
-                        # (the skipped RUNNABLE interval has zero
-                        # length), so go straight to the slice.  Only
-                        # a ``sched.state`` or ``sched.wakeup``
-                        # subscriber (the trace recorder) could see the
-                        # difference, so those keep the explicit route;
-                        # ``sched.switch`` and ``sched.migrate`` fire
-                        # on both.
-                        self._start_slice(thread, core)
-                        return
             self._transition(thread, ThreadState.RUNNABLE)
             self._rq[thread.sched_class].append(thread)
-            if SCHED_WAKEUP in topics:
+            if SCHED_WAKEUP in self._topics:
                 self.sim.emit(SCHED_WAKEUP, thread=thread)
         self._dispatch()
 
@@ -352,11 +357,14 @@ class Scheduler:
     def _pick_core(self, thread: Thread) -> Optional[Core]:
         """Prefer the thread's previous core (cache warmth), else the
         fastest idle core the thread's affinity mask allows."""
-        if thread.last_core is not None:
-            previous = self.cores[thread.last_core]
-            if previous.current is None and self._allowed(thread, previous):
-                return previous
         allowed = thread.allowed_cores
+        last = thread.last_core
+        if last is not None:
+            previous = self.cores[last]
+            if previous.current is None and (
+                allowed is None or previous.index in allowed
+            ):
+                return previous
         best: Optional[Core] = None
         for core in self.cores:
             if core.current is not None:
@@ -453,7 +461,7 @@ class Scheduler:
         self._start_slice(victor, core)
 
     def _start_slice(self, thread: Thread, core: Core) -> None:
-        assert core.idle, f"core {core.index} busy"
+        assert core.current is None, f"core {core.index} busy"
         if not thread.queue or not isinstance(thread.queue[0], CpuWork):
             # The thread was requeued while its last work item finished
             # (mid-handler preemption): nothing to run after all.
@@ -652,31 +660,51 @@ class Scheduler:
         core.slice_end_event = None
         elapsed = self.sim.now - core.slice_started
         core.busy_time += elapsed
-        item = thread.queue[0]
+        queue = thread.queue
+        item = queue[0]
         item.remaining -= elapsed * core.freq_ghz
+        rq = self._rq
 
         if item.remaining <= 1e-9:
-            thread.queue.popleft()
-            if item.on_complete is not None:
-                item.on_complete()
-            if thread.dead:
-                # on_complete (or a preceding callback) killed the thread.
-                if core.current is thread:
+            queue.popleft()
+            if item.on_complete is None:
+                if not queue:
+                    # Direct sleep: nothing ran that could have touched
+                    # the scheduler, and with nothing left to do the
+                    # general path below would only put the thread to
+                    # sleep and scan the runqueues.
                     core.current = None
-                self._dispatch()
-                return
-            if core.current is not thread:
-                # on_complete re-entered the scheduler (a wakeup preempted
-                # this very core, or a kill freed it); the nested call
-                # already made all scheduling decisions for this core.
-                self._dispatch()
-                return
+                    self._transition(thread, ThreadState.SLEEPING)
+                    if rq[0] or rq[1] or rq[2] or rq[3]:
+                        self._dispatch()
+                    return
+            else:
+                item.on_complete()
+                if thread.dead:
+                    # on_complete (or a preceding callback) killed the
+                    # thread.
+                    if core.current is thread:
+                        core.current = None
+                    self._dispatch()
+                    return
+                if core.current is not thread:
+                    # on_complete re-entered the scheduler (a wakeup
+                    # preempted this very core, or a kill freed it); the
+                    # nested call already made all scheduling decisions
+                    # for this core.
+                    self._dispatch()
+                    return
+        elif not (rq[0] or rq[1] or rq[2] or rq[3]):
+            # A rounding residue or a quantum expiry with nobody waiting
+            # to rotate in: keep running.
+            self._arm_slice_end(core)
+            return
 
         # Decide what happens to the core next.
-        has_more_cpu_work = bool(thread.queue) and isinstance(thread.queue[0], CpuWork)
+        has_more_cpu_work = bool(queue) and isinstance(queue[0], CpuWork)
         # The head of the highest-priority non-empty runqueue.
         waiter = None
-        for rq_queue in self._rq:
+        for rq_queue in rq:
             if rq_queue:
                 waiter = rq_queue[0]
                 break
@@ -707,6 +735,6 @@ class Scheduler:
             # queue _advance would be a no-op (already SLEEPING), so
             # only call it when an IoWait is pending.
             self._transition(thread, ThreadState.SLEEPING)
-            if thread.queue:
+            if queue:
                 self._advance(thread)
         self._dispatch()

@@ -26,7 +26,7 @@ from ..device.device import Device
 from ..kernel.pressure import MemoryPressureLevel
 from ..sched.scheduler import SchedClass
 from ..sim.bus import SESSION_END
-from ..sim.clock import Time, millis, seconds, to_seconds
+from ..sim.clock import Time, millis, to_seconds
 from ..sim.periodic import PeriodicService
 from .buffer import DEFAULT_CAPACITY_S, PlaybackBuffer
 from .clients import ClientProfile, firefox
@@ -268,25 +268,32 @@ class VideoPlayer:
     def _start_duty_loops(self) -> None:
         """Sustain the auxiliary CPU load of a real client: IPC, demuxing,
         JS, layout — dozens of threads whose queueing delays are what
-        §5 measures as Runnable time."""
+        §5 measures as Runnable time.
+
+        One clock drives every thread's loop: they all share the period
+        and start together, so each tick posts the main thread's burst
+        and then each worker's, in the order the draws are made."""
         rng = self.sim.random.stream("client.duty")
         period = millis(20)
+        # ``scale * draw`` is ``period * duty * draw`` evaluated left to
+        # right, so precomputing each thread's scale changes no burst.
+        loads = [(self.main_thread, period * self.client.main_thread_duty)]
+        loads += [
+            (thread, period * self.client.worker_duty)
+            for thread in self.worker_threads
+        ]
 
-        def start_loop(thread, duty) -> None:
-            def tick() -> None:
-                if self._done or not self.process.alive:
-                    service.stop()
-                    return
-                burst = period * duty * rng.lognormvariate(0.0, 0.25)
+        def tick() -> None:
+            if self._done or not self.process.alive:
+                service.stop()
+                return
+            for thread, scale in loads:
+                burst = scale * rng.lognormvariate(0.0, 0.25)
                 if burst >= 1.0:
                     thread.post(burst, label="duty")
 
-            service = PeriodicService(self.sim, period, tick, label="duty")
-            service.fire()  # the first burst lands inline
-
-        start_loop(self.main_thread, self.client.main_thread_duty)
-        for thread in self.worker_threads:
-            start_loop(thread, self.client.worker_duty)
+        service = PeriodicService(self.sim, period, tick, label="duty")
+        service.fire()  # the first bursts land inline
 
     def _allocate_codec_buffers(self, then) -> None:
         """(Re)allocate the decoded-frame pool and textures for the
